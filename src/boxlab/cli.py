@@ -66,10 +66,7 @@ def cmd_pipeline(args) -> int:
     report = {
         "version": REPORT_VERSION,
         "command": "pipeline",
-        "params": {"suite": args.suite, "q": args.q, "p": args.p, "n": args.n,
-                   "k": args.k, "m": args.m, "mode": args.mode,
-                   "cap_elements": args.cap_elements,
-                   "cap_vertices": args.cap_vertices},
+        "params": {"suite": args.suite},
         "seed": args.seed,
         "results": results,
         "pass": all(r["passed"] for r in results),
@@ -95,19 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=29)
-    common.add_argument("--p", type=int, default=5)
-    common.add_argument("--n", type=int, default=1)
-    common.add_argument("--k", type=int, default=1)
-    common.add_argument("--m", type=int, default=8)
-    common.add_argument("--mode", choices=["dense", "extreme"], default="dense")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="report path (default stdout)")
-    common.add_argument("--cap-elements", type=int, default=10 ** 7)
-    common.add_argument("--cap-vertices", type=int, default=500_000)
 
     feas = sub.add_parser("feasibility", parents=[common],
                           help="minimal depth for the size condition")
+    feas.add_argument("--q", type=int, default=29)
+    feas.add_argument("--k", type=int, default=1)
     feas.set_defaults(fn=cmd_feasibility)
 
     pipe = sub.add_parser("pipeline", parents=[common],

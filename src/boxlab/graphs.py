@@ -95,15 +95,6 @@ class Graph:
                 frontier = nxt
         return True
 
-    def diameter(self) -> int:
-        best = 0
-        for v in range(self.n):
-            d = self.bfs_distances(v)
-            if min(d) < 0:
-                raise ValueError("diameter undefined for disconnected graph")
-            best = max(best, max(d))
-        return best
-
     def adjacency_matrix(self):
         import numpy as np
 
@@ -384,10 +375,8 @@ class CoverGraph:
         return perm
 
     def write_file(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.graph.n} {self.graph.num_edges}\n")
-            for u, v in self.graph.edges():
-                fh.write(f"{u} {v}\n")
+        self.graph.write_file(path)
+        with open(path, "a") as fh:
             fh.write("projection\n")
             for cv, bv in enumerate(self.projection):
                 fh.write(f"{cv} {bv}\n")

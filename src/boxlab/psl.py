@@ -10,6 +10,7 @@ PSL elements whenever the determinant is a square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import ResourceLimitError
 from .quaternion import Quat
@@ -116,7 +117,8 @@ def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> list[Mat]:
                 for d in range(modulus):
                     c = (a * d - 1) * binv % modulus
                     seen.add(canon((a, b, c, d), modulus, q))
-    assert len(seen) == expected
+    if len(seen) != expected:
+        raise RuntimeError(f"PSL(2, {q}^{n}): {len(seen)} != {expected} elements")
     return sorted(seen)
 
 
@@ -160,12 +162,15 @@ class CongruenceKernel:
         return len(self.elements)
 
     def is_abelian(self) -> bool:
+        """Decided on ``kernel_generators``, after checking by closure that
+        they span the kernel (RuntimeError if not)."""
         mod, q = self.modulus, self.q
-        for i, x in enumerate(self.elements):
-            for y in self.elements[i + 1:]:
-                if mat_mul(x, y, mod, q) != mat_mul(y, x, mod, q):
-                    return False
-        return True
+        gens = kernel_generators(q, self.n, self.k)
+        if not _spans(gens, self):
+            raise RuntimeError(f"kernel_generators({q}, {self.n}, {self.k}) "
+                               "does not span the kernel")
+        return all(mat_mul(x, y, mod, q) == mat_mul(y, x, mod, q)
+                   for x, y in combinations(gens, 2))
 
     def exponent_divides(self, e: int) -> bool:
         mod, q = self.modulus, self.q
@@ -196,8 +201,47 @@ def kernel_enumerate(q: int, n: int, k: int, cap: int = 10 ** 7) -> CongruenceKe
                 w = (-x + qk * y * z) * top_inv % r
                 m = canon((top, qk * y, qk * z, 1 + qk * w), modulus, q)
                 elems.append(m)
-    assert len(set(elems)) == size
+    if len(set(elems)) != size:
+        raise RuntimeError(f"kernel has {len(set(elems))} != {size} elements")
     return CongruenceKernel(q=q, n=n, k=k, elements=tuple(elems))
+
+
+def kernel_generators(q: int, n: int, k: int) -> tuple[Mat, Mat, Mat]:
+    """I + q^k*E12, I + q^k*E21 and diag(1 + q^k, (1 + q^k)^-1) mod q^n.
+
+    They generate the level-k kernel; ``is_abelian`` and
+    ``gamma_image_check`` verify that by closure.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    modulus = q ** n
+    qk = q ** k
+    return (canon((1, qk, 0, 1), modulus, q),
+            canon((1, 0, qk, 1), modulus, q),
+            canon((1 + qk, 0, 0, pow(1 + qk, -1, modulus)), modulus, q))
+
+
+def _spans(gens, kernel: CongruenceKernel, cap: int = 10 ** 7) -> bool:
+    closure = subgroup_closure(list(gens), kernel.modulus, kernel.q, cap=cap)
+    return set(closure) == set(kernel.elements)
+
+
+def normal_closure(gens: list[Mat], conjugators: list[Mat], modulus: int,
+                   q: int, cap: int = 10 ** 7) -> list[Mat]:
+    """The smallest subgroup containing gens and normalised by conjugators.
+
+    Re-closes until conjugating each generator by each conjugator adds
+    nothing new; in a finite group g^-1 is a power of g, so that suffices.
+    """
+    pairs = [(mat_inv(g, modulus, q), g) for g in conjugators]
+    gens = [canon(x, modulus, q) for x in gens]
+    while True:
+        closure = subgroup_closure(gens, modulus, q, cap=cap)
+        new = {mat_mul(mat_mul(g_inv, x, modulus, q), g, modulus, q)
+               for x in gens for g_inv, g in pairs} - set(closure)
+        if not new:
+            return closure
+        gens += sorted(new)
 
 
 def mgen_generators(q: int, n: int) -> tuple[Mat, Mat, Mat]:
@@ -208,11 +252,7 @@ def mgen_generators(q: int, n: int) -> tuple[Mat, Mat, Mat]:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    modulus = q ** n
-    t = q ** (n - 1)
-    diag = canon((1 + t, 0, 0, 1 - t), modulus, q)
-    upper = canon((1, t, 0, 1), modulus, q)
-    lower = canon((1, 0, t, 1), modulus, q)
+    upper, lower, diag = kernel_generators(q, n, n - 1)
     return diag, upper, lower
 
 
@@ -242,31 +282,23 @@ def gamma_image_check(q: int, n: int, k: int, cap: int = 10 ** 7) -> GammaImageR
     """Check that q-th powers and commutators of the level-k kernel generate
     exactly the level-(k+1) kernel inside PSL(2, q^n).
 
-    Generating from the images suffices: the image of a generated subgroup
-    under a surjection is generated by the images of the generators.
+    For K generated by S, K^q[K, K] is the normal closure in K of
+    {s^q, [s, t] : s, t in S}: modulo that closure the generators commute
+    and have order dividing q.  Verified: that the ``kernel_generators``
+    triple S spans the enumerated level-k kernel, and that the normal
+    closure of its three q-th powers and three commutators equals the
+    independently enumerated level-(k+1) kernel.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     modulus = q ** n
-    kernel = kernel_enumerate(q, n, k, cap=cap).elements
+    kernel = kernel_enumerate(q, n, k, cap=cap)
     target = set(kernel_enumerate(q, n, k + 1, cap=cap).elements)
-    gens: list[Mat] = []
-    seen: set[Mat] = set()
-    for x in kernel:
-        p = mat_pow(x, q, modulus, q)
-        if p not in seen:
-            seen.add(p)
-            gens.append(p)
-    inverses = [mat_inv(x, modulus, q) for x in kernel]
-    for i, x in enumerate(kernel):
-        xi = inverses[i]
-        for j, y in enumerate(kernel):
-            c = mat_mul(mat_mul(x, y, modulus, q),
-                        mat_mul(xi, inverses[j], modulus, q), modulus, q)
-            if c not in seen:
-                seen.add(c)
-                gens.append(c)
-    closure = subgroup_closure(gens, modulus, q, cap=cap)
+    triple = kernel_generators(q, n, k)
+    seeds = [mat_pow(s, q, modulus, q) for s in triple]
+    seeds += [commutator(s, t, modulus, q) for s, t in combinations(triple, 2)]
+    closure = normal_closure(seeds, list(triple), modulus, q, cap=cap)
     return GammaImageReport(q=q, n=n, k=k, generated_order=len(closure),
                             expected_order=len(target),
-                            passed=set(closure) == target)
+                            passed=_spans(triple, kernel, cap)
+                            and set(closure) == target)

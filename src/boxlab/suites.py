@@ -149,11 +149,7 @@ def criterion_subgroups() -> dict:
                     psl.mat_pow(x, smaller, modulus, q) != ident
                     for x in kernel.elements)
                 # three independent generators of order q^(n-k)
-                qk = q ** k
-                triple = [psl.canon((1, qk, 0, 1), modulus, q),
-                          psl.canon((1, 0, qk, 1), modulus, q),
-                          psl.canon((1 + qk, 0, 0, pow(1 + qk, -1, modulus)),
-                                    modulus, q)]
+                triple = list(psl.kernel_generators(q, n, k))
                 order = q ** (n - k)
                 exponent_ok = exponent_ok and all(
                     psl.mat_pow(t, order, modulus, q) == ident

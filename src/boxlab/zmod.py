@@ -68,6 +68,13 @@ def _sqrt_mod_prime(u: int, q: int) -> int:
     return r
 
 
+def _hensel_step(r: int, u: int, q: int, prev: int) -> int:
+    """Lift a root r of x^2 = u mod prev = q^(j-1) to a root mod q^j."""
+    c = (r * r - u) // prev          # r^2 = u + c * q^(j-1)
+    t = pow(2 * r % q, -1, q)
+    return (r - t * c * prev) % (prev * q)
+
+
 def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
     """Both square roots of u modulo q^n, or None when u is a non-residue mod q.
 
@@ -84,12 +91,10 @@ def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
     r = _sqrt_mod_prime(u, q)
     modulus = q
     for _ in range(2, n + 1):
-        prev = modulus
+        r = _hensel_step(r, u, q, modulus)
         modulus *= q
-        c = (r * r - u) // prev          # r^2 = u + c * q^(j-1)
-        t = pow(2 * r % q, -1, q)
-        r = (r - t * c * prev) % modulus
-    assert (r * r - u) % modulus == 0
+    if (r * r - u) % modulus:
+        raise RuntimeError(f"{r}^2 != {u} mod {modulus}")
     r = min(r, modulus - r)
     return r, modulus - r
 
@@ -97,36 +102,17 @@ def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
 def sqrt_hensel_even(u: int, q: int, n: int) -> int | None:
     """Canonical square root of u modulo 2*q^n, or None when none exists.
 
-    The base root mod 2q is found by scanning; each lift step is
-    a = b - t*c*q^(j-1) with t inverting b mod q, with the lift of t chosen
-    so the correction keeps the right parity.
+    Every root is u mod 2, so the roots mod 2*q^n are, by CRT, the member of
+    the ``sqrt_hensel`` pair (r, q^n - r) with the parity of u and its
+    negative; the member is below q^n, so it is the canonical one.
     """
-    _require_odd_prime(q)
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    if u % q == 0:
-        raise ValueError("u divisible by q is unsupported")
-    base = None
-    for r in range(2 * q):
-        if (r * r - u) % (2 * q) == 0:
-            base = r
-            break
-    if base is None:
+    pair = sqrt_hensel(u, q, n)
+    if pair is None:
         return None
-    r = base
-    qpow = q
-    modulus = 2 * q
-    for _ in range(2, n + 1):
-        prev_qpow = qpow
-        qpow *= q
-        modulus = 2 * qpow
-        c = (r * r - u) // (2 * prev_qpow)   # r^2 = u + 2*c*q^(j-1)
-        t = pow(r % q, -1, q)
-        if (t * c) % 2 != 0:
-            t += q                            # keep the correction term even
-        r = (r - t * c * prev_qpow) % modulus
-    assert (r * r - u) % modulus == 0
-    return min(r, modulus - r)
+    r = pair[0] if (pair[0] - u) % 2 == 0 else pair[1]
+    if (r * r - u) % (2 * q ** n):
+        raise RuntimeError(f"{r}^2 != {u} mod {2 * q ** n}")
+    return r
 
 
 def find_admissible_q(lo: int, hi: int) -> list[int]:
@@ -160,12 +146,10 @@ def sqrt_minus_one_chain(q: int, nmax: int) -> tuple[int, ...]:
     chain = [r]
     modulus = q
     for _ in range(2, nmax + 1):
-        prev = modulus
+        r = _hensel_step(r, -1, q, modulus)
         modulus *= q
-        c = (r * r + 1) // prev
-        t = pow(2 * r % q, -1, q)
-        r = (r - t * c * prev) % modulus
-        assert (r * r + 1) % modulus == 0
+        if (r * r + 1) % modulus:
+            raise RuntimeError(f"{r}^2 != -1 mod {modulus}")
         chain.append(r)
     return tuple(chain)
 

@@ -90,3 +90,9 @@ def test_cli_csv_export(tmp_path):
         rows = open(path).read().splitlines()
         assert rows[0] == "eigenvalue,multiplicity"
         assert len(rows) > 1
+
+
+def test_cli_rejects_removed_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--suite", "hensel", "--mode", "extreme"])
+    assert exc.value.code == 2

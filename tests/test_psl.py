@@ -184,3 +184,78 @@ def test_gamma_image_trivial_target():
     report = psl.gamma_image_check(3, 2, 1)
     assert report.generated_order == 1
     assert report.expected_order == 1
+
+
+def all_pairs_subgroup(q, n, k):
+    """Retired all-pairs generation: the subgroup generated by every x^q and
+    every [x, y] for x, y in the level-k kernel."""
+    modulus = q ** n
+    kernel = psl.kernel_enumerate(q, n, k).elements
+    inverses = [psl.mat_inv(x, modulus, q) for x in kernel]
+    gens = {psl.mat_pow(x, q, modulus, q) for x in kernel}
+    gens |= {psl.mat_mul(psl.mat_mul(x, y, modulus, q),
+                         psl.mat_mul(xi, yi, modulus, q), modulus, q)
+             for x, xi in zip(kernel, inverses)
+             for y, yi in zip(kernel, inverses)}
+    return set(psl.subgroup_closure(sorted(gens), modulus, q))
+
+
+def all_pairs_is_abelian(kernel):
+    mod, q = kernel.modulus, kernel.q
+    return all(psl.mat_mul(x, y, mod, q) == psl.mat_mul(y, x, mod, q)
+               for x in kernel.elements for y in kernel.elements)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 2, 1), (5, 2, 1), (3, 3, 1)])
+def test_normal_closure_matches_all_pairs_generation(q, n, k):
+    modulus = q ** n
+    triple = psl.kernel_generators(q, n, k)
+    seeds = [psl.mat_pow(s, q, modulus, q) for s in triple]
+    seeds += [psl.commutator(s, t, modulus, q)
+              for i, s in enumerate(triple) for t in triple[i + 1:]]
+    closure = psl.normal_closure(seeds, list(triple), modulus, q)
+    assert set(closure) == all_pairs_subgroup(q, n, k)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 2, 1), (3, 3, 1), (5, 2, 1)])
+def test_is_abelian_matches_all_pairs_oracle(q, n, k):
+    kernel = psl.kernel_enumerate(q, n, k)
+    assert kernel.is_abelian() == all_pairs_is_abelian(kernel)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 4, 1), (5, 3, 1), (3, 5, 2)])
+def test_gamma_image_check_beyond_pair_loop_reach(q, n, k):
+    report = psl.gamma_image_check(q, n, k)
+    assert report.passed, report
+    assert report.generated_order == report.expected_order == q ** (3 * (n - k - 1))
+
+
+def test_normal_closure_of_involution_in_a4():
+    h = psl.canon((0, 1, -1, 0), 3, 3)
+    psl23 = [psl.canon((1, 1, 0, 1), 3, 3), h]
+    assert len(psl.subgroup_closure(psl23, 3, 3)) == 12
+    assert len(psl.subgroup_closure([h], 3, 3)) == 2
+    assert len(psl.normal_closure([h], psl23, 3, 3)) == 4
+
+
+def test_mgen_generators_unchanged_by_kernel_generators():
+    for q, n in [(3, 2), (3, 3), (5, 2)]:
+        modulus, t = q ** n, q ** (n - 1)
+        assert psl.mgen_generators(q, n) == (
+            psl.canon((1 + t, 0, 0, 1 - t), modulus, q),
+            psl.canon((1, t, 0, 1), modulus, q),
+            psl.canon((1, 0, t, 1), modulus, q))
+
+
+def test_is_abelian_raises_when_triple_does_not_span():
+    kernel = psl.CongruenceKernel(q=3, n=2, k=1,
+                                  elements=(psl.canon(psl.IDENT, 9, 3),))
+    with pytest.raises(RuntimeError):
+        kernel.is_abelian()
+
+
+def test_gamma_image_check_fails_when_triple_does_not_span(monkeypatch):
+    upper = psl.kernel_generators(3, 3, 1)[0]
+    monkeypatch.setattr(psl, "kernel_generators",
+                        lambda q, n, k: (upper, upper, upper))
+    assert not psl.gamma_image_check(3, 3, 1).passed

@@ -4,6 +4,7 @@ homology covers built from a spanning tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
@@ -236,9 +237,12 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
 
 def girth(graph: Graph) -> float:
     """Length of the shortest cycle, math.inf for forests.  Per-root BFS with
-    depth pruning against the best cycle found so far."""
+    depth pruning against the best cycle found so far.  Every vertex of a
+    vertex-transitive graph lies on a shortest cycle, so a flagged graph is
+    searched from vertex 0 alone."""
     best = math.inf
-    for root in range(graph.n):
+    roots = range(graph.n)
+    for root in roots[:1] if graph.vertex_transitive else roots:
         dist = {root: 0}
         parent = {root: -1}
         frontier = [root]
@@ -343,7 +347,9 @@ def spanning_tree(graph: Graph) -> SpanningTreeData:
         frontier = nxt
     non_tree = tuple(e for e in graph.edges() if e not in tree)
     rank = graph.num_edges - graph.n + 1
-    assert len(non_tree) == rank
+    if len(non_tree) != rank:
+        raise RuntimeError(
+            f"{len(non_tree)} non-tree edges, expected rank {rank}")
     return SpanningTreeData(tree_edges=frozenset(tree), non_tree_edges=non_tree,
                             rank=rank)
 
@@ -362,17 +368,16 @@ class CoverGraph:
 
     def deck_translate(self, shift: Sequence[int]) -> list[int]:
         """Vertex permutation translating the Z_m^r coordinate by shift."""
-        n = self.base.n
+        import numpy as np
+
         m, r = self.m, self.rank
-        weights = [m ** i for i in range(r)]
-        perm = []
-        for cv in range(self.graph.n):
-            block, v = divmod(cv, n)
-            digits = [(block // w) % m for w in weights]
-            shifted = sum(((digits[i] + shift[i]) % m) * weights[i]
-                          for i in range(r))
-            perm.append(shifted * n + v)
-        return perm
+        if len(shift) != r:
+            raise ValueError(f"shift has {len(shift)} coordinates, rank is {r}")
+        weights = m ** np.arange(r, dtype=np.int64)
+        digits = np.arange(m ** r, dtype=np.int64)[:, None] // weights % m
+        shifted = ((digits + np.asarray(shift, dtype=np.int64)) % m) @ weights
+        n = self.base.n
+        return (shifted[:, None] * n + np.arange(n)).ravel().tolist()
 
     def write_file(self, path: str) -> None:
         self.graph.write_file(path)
@@ -384,7 +389,11 @@ class CoverGraph:
 
 def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
     """The m-fold homology cover: one copy of the spanning tree per element
-    of Z_m^r, non-tree edge j connecting block a to block a + unit_j."""
+    of Z_m^r, non-tree edge j connecting block a to block a + unit_j.
+
+    The cover belongs to the characteristic subgroup pi1^m [pi1, pi1], so
+    every automorphism of the base lifts, and with the deck group transitive
+    on fibers the cover is vertex-transitive whenever the base is."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     tree = spanning_tree(graph)
@@ -404,7 +413,8 @@ def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
             digit = (block // weights[j]) % m
             target = block + ((digit + 1) % m - digit) * weights[j]
             edges.append((base_off + u, target * n + v))
-    cover = Graph.from_edges(total, edges)
+    cover = Graph.from_edges(total, edges,
+                             vertex_transitive=graph.vertex_transitive)
     projection = tuple(cv % n for cv in range(total))
     return CoverGraph(graph=cover, base=graph, projection=projection, m=m,
                       rank=r, tree=tree)
@@ -423,9 +433,15 @@ def verify_covering(cover: CoverGraph) -> bool:
 
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
-    edge_set = set(graph.edges())
-    for u, v in edge_set:
-        pu, pv = perm[u], perm[v]
-        if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:
-            return False
-    return True
+    """Whether perm is a permutation of range(n) mapping edges onto edges."""
+    import numpy as np
+
+    n = graph.n
+    p = np.asarray(perm, dtype=np.int64)
+    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+        return False
+    # a bijection maps the arcs u -> v injectively, so they must sort equal
+    src = np.repeat(np.arange(n), [len(a) for a in graph.adj])
+    dst = np.fromiter(itertools.chain.from_iterable(graph.adj), dtype=np.int64,
+                      count=len(src))
+    return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))

@@ -3,7 +3,7 @@ decomposition along quotient maps, and non-backtracking walk traces.
 
 The Laplacian is k*Id - A for a k-regular graph, so the two spectra are
 mirror multisets and either view may be checked; both are implemented and
-asserted equivalent in the Ramanujan certificate.
+checked equivalent in the Ramanujan certificate.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ class Spectrum:
     residual: float = 0.0
 
     def adjacency_values(self) -> tuple[float, ...]:
-        if self.operator == "adjacency":
-            return self.values
-        return tuple(sorted(self.k - v for v in self.values))
+        return self._as("adjacency")
 
     def laplacian_values(self) -> tuple[float, ...]:
-        if self.operator == "laplacian":
+        return self._as("laplacian")
+
+    def _as(self, operator: str) -> tuple[float, ...]:
+        """The values in the given view; the other view is their mirror k - v."""
+        if self.operator == operator:
             return self.values
         return tuple(sorted(self.k - v for v in self.values))
 
@@ -145,7 +147,9 @@ def ramanujan_check(graph: Graph, spec, tolerance: float = 1e-9) -> RamanujanCer
     lap = [k - v for v in adj]
     passed_lap = all(k - bound - tolerance <= v <= k + bound + tolerance
                      for v in lap)
-    assert passed_adj == passed_lap
+    if passed_adj != passed_lap:
+        raise RuntimeError("adjacency and Laplacian readings of the Ramanujan "
+                           "bound disagree")
     return RamanujanCertificate(k=k, bound=bound, passed=passed_adj,
                                 margin=bound - worst, bipartite=bipartite,
                                 tolerance=tolerance, mode="dense")
@@ -224,11 +228,9 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     if np.abs(combined - g_vals).max() > 1e-9:
         raise RuntimeError("lifted and relative parts do not recombine")
 
-    fiber_sums = np.array([[rel_vectors[verts, j].sum()
-                            for j in range(rel_vectors.shape[1])]
-                           for verts in fibers.values()]) \
-        if rel_vectors.size else np.zeros((1, 0))
-    assert np.abs(fiber_sums).max(initial=0.0) <= 1e-8
+    fiber_sums = math.sqrt(f) * (q_lift.T @ rel_vectors)
+    if np.abs(fiber_sums).max(initial=0.0) > 1e-8:
+        raise RuntimeError("relative eigenvectors have nonzero fiber sums")
 
     return LiftDecomposition(
         lifted=Spectrum(values=tuple(float(v) for v in h_vals),
@@ -260,26 +262,25 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
     k = graph.k
     p = k - 1
     n = graph.n
-    adj = graph.adj
+    nbrs = np.array(graph.adj, dtype=np.int64).reshape(n, k)
+    # |A T_{m-1}| < 2 k^m; Python ints take over where int64 could overflow
+    dtype = np.int64 if k ** (M + 1) < 2 ** 62 else object
     sources = [0] if graph.vertex_transitive else range(n)
     scale = n if graph.vertex_transitive else 1
     diag = [0] * (M + 1)
     for s in sources:
-        t_prev = [0] * n
+        t_prev = np.zeros(n, dtype=dtype)
         t_prev[s] = 1
-        diag[0] += t_prev[s]
+        diag[0] += 1
         if M == 0:
             continue
-        t_cur = [0] * n
-        for y in adj[s]:
-            t_cur[y] = 1
-        diag[1] += t_cur[s]
+        t_cur = np.zeros(n, dtype=dtype)
+        t_cur[nbrs[s]] = 1
+        diag[1] += int(t_cur[s])
         for m in range(2, M + 1):
             c = p + 1 if m == 2 else p
-            t_next = [sum(t_cur[y] for y in adj[x]) - c * t_prev[x]
-                      for x in range(n)]
-            diag[m] += t_next[s]
-            t_prev, t_cur = t_cur, t_next
+            t_prev, t_cur = t_cur, t_cur[nbrs].sum(axis=1) - c * t_prev
+            diag[m] += int(t_cur[s])
     exact = tuple(v * scale for v in diag)
     cum = list(exact)
     for m in range(2, M + 1):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -202,3 +203,98 @@ def test_cover_file_includes_projection(tmp_path):
     assert f"{cover.graph.n} {cover.graph.num_edges}" in text.splitlines()[0]
     back = read_graph_file(path)
     assert back.adj == cover.graph.adj
+
+
+# --- the retired per-vertex loops, kept as oracles ---------------------------
+
+
+def deck_translate_digit_loop(cover, shift):
+    n = cover.base.n
+    m, r = cover.m, cover.rank
+    weights = [m ** i for i in range(r)]
+    perm = []
+    for cv in range(cover.graph.n):
+        block, v = divmod(cv, n)
+        digits = [(block // w) % m for w in weights]
+        shifted = sum(((digits[i] + shift[i]) % m) * weights[i]
+                      for i in range(r))
+        perm.append(shifted * n + v)
+    return perm
+
+
+def is_automorphism_edge_set(graph, perm):
+    """Edge-set check; only meaningful when perm is a bijection."""
+    edge_set = set(graph.edges())
+    return all(((perm[u], perm[v]) if perm[u] < perm[v] else
+                (perm[v], perm[u])) in edge_set for u, v in edge_set)
+
+
+def flag_off(graph):
+    return Graph(n=graph.n, adj=graph.adj, labels=graph.labels,
+                 vertex_transitive=False)
+
+
+CORPUS = ("C6", "K4", "K33", "petersen", "psl23")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+def test_cover_girth_matches_all_roots(corpus_cover, name, m):
+    g = corpus_cover(name, m).graph
+    assert g.vertex_transitive
+    assert girth(g) == girth(flag_off(g))
+
+
+def test_cover_of_non_transitive_base_is_not_flagged():
+    base = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    cover = homology_cover(base, 2)
+    assert not cover.graph.vertex_transitive
+    assert girth(cover.graph) == 6
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+def test_deck_translate_matches_digit_loop(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    shifts = []
+    for j in range(cover.rank):
+        shift = [0] * cover.rank
+        shift[j] = 1
+        shifts.append(shift)
+    rng = random.Random(f"{name}-{m}")
+    shifts.append([rng.randrange(-m, 2 * m) for _ in range(cover.rank)])
+    for shift in shifts:
+        perm = cover.deck_translate(shift)
+        assert perm == deck_translate_digit_loop(cover, shift)
+        assert all(type(v) is int for v in perm)
+    with pytest.raises(ValueError, match="rank"):
+        cover.deck_translate([1] * (cover.rank + 1))
+
+
+def test_is_automorphism_rejects_non_bijections():
+    g = complete_bipartite(3, 3)
+    assert is_automorphism(g, [3, 4, 5, 0, 1, 2])
+    assert not is_automorphism(g, [0, 0, 0, 3, 3, 3])
+    assert not is_automorphism(g, [0, 1, 2])
+    assert not is_automorphism(g, [0, 1, 2, 3, 4, 5, 0])
+    assert not is_automorphism(g, [0, 1, 2, 3, 4, 6])
+    assert not is_automorphism(g, [0, 1, 2, 3, 4, -1])
+
+
+@pytest.mark.parametrize("name", ["K4", "K33", "petersen"])
+def test_is_automorphism_matches_edge_set_check(corpus_cover, name):
+    cover = corpus_cover(name, 2)
+    g = cover.graph
+    rng = random.Random(name)
+    perms = [cover.deck_translate([1] * cover.rank), list(range(g.n))]
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        perms.append(perm)
+        swapped = cover.deck_translate([0] * (cover.rank - 1) + [1])
+        i, j = rng.sample(range(g.n), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        perms.append(swapped)
+    results = [is_automorphism(g, p) for p in perms]
+    assert results == [is_automorphism_edge_set(g, p) for p in perms]
+    assert results[:2] == [True, True]

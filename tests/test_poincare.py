@@ -1,9 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boxlab.graphs import cayley_graph, complete, cycle, homology_cover
+from boxlab.graphs import cayley_graph, complete, cycle, homology_cover, petersen
 from boxlab.poincare import (KernelPairMeasure, LipschitzMap, adversarial_map,
                              certify_relative, distance_map, double_sum,
                              expander_bound_check, poincare_sum)
@@ -147,3 +150,61 @@ def test_adversarial_rejects_constant_vector():
     cay = cyclic_cayley(8)
     with pytest.raises(ValueError):
         adversarial_map(cay, np.ones(8))
+
+
+# --- the retired pair and edge loops, kept as oracles -------------------------
+
+
+def poincare_sum_pairwise(phi, mu):
+    terms = []
+    for block in mu.blocks:
+        for x in block:
+            for y in block:
+                if x != y:
+                    diff = phi.vectors[x] - phi.vectors[y]
+                    terms.append(float(diff @ diff))
+    return math.fsum(terms) / mu.D
+
+
+def lipschitz_defect_edge_loop(phi):
+    worst, worst_edge = 0.0, (-1, -1)
+    for u, v in phi.graph.edges():
+        d = float(np.linalg.norm(phi.vectors[u] - phi.vectors[v]))
+        if d > worst:
+            worst, worst_edge = d, (u, v)
+    return worst, worst_edge
+
+
+@functools.lru_cache(maxsize=None)
+def quotient_pair(name):
+    if name == "C8/C4":
+        return cycle(8), tuple(v % 4 for v in range(8))
+    cover = homology_cover(complete(4) if name == "K4-m2" else petersen(), 2)
+    return cover.graph, cover.projection
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(pair=st.sampled_from(["C8/C4", "K4-m2", "petersen-m2"]),
+       dim=st.integers(1, 4),
+       offset=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(pair="petersen-m2", dim=3, offset=1e6, seed=0)
+def test_poincare_sum_matches_pair_loop(pair, dim, offset, seed):
+    g, fibers = quotient_pair(pair)
+    mu = KernelPairMeasure.from_fibers(fibers)
+    vecs = np.random.default_rng(seed).standard_normal((g.n, dim))
+    stretch, _ = LipschitzMap(graph=g, vectors=vecs).lipschitz_defect()
+    phi = LipschitzMap(graph=g, vectors=0.5 * vecs / stretch + offset)
+    closed, pairwise = poincare_sum(phi, mu), poincare_sum_pairwise(phi, mu)
+    assert abs(closed - pairwise) <= 1e-12 * pairwise
+
+
+def test_lipschitz_defect_matches_edge_loop():
+    g = homology_cover(petersen(), 2).graph
+    rng = np.random.default_rng(1)
+    maps = [LipschitzMap(graph=g, vectors=rng.standard_normal((g.n, 3))),
+            LipschitzMap(graph=g, vectors=rng.integers(0, 3, (g.n, 1)) * 1.0),
+            distance_map(g), LipschitzMap(graph=g, vectors=np.ones((g.n, 2)))]
+    for phi in maps:
+        assert phi.lipschitz_defect() == lipschitz_defect_edge_loop(phi)
+    assert maps[-1].lipschitz_defect() == (0.0, (-1, -1))

@@ -200,3 +200,24 @@ def test_write_spectrum_csv(tmp_path):
     assert rows[0] == "eigenvalue,multiplicity"
     assert rows[1] == "-1,3"
     assert rows[2] == "3,1"
+
+
+@pytest.mark.parametrize("name,m", [("C6", 2), ("C6", 3), ("K4", 2), ("K4", 3),
+                                    ("K33", 2), ("K33", 3), ("petersen", 2),
+                                    ("psl23", 2)])
+def test_nb_trace_cover_flag_matches_all_sources(corpus_cover, name, m):
+    g = corpus_cover(name, m).graph
+    assert g.vertex_transitive and g.n <= 1536
+    g_no_flag = type(g)(n=g.n, adj=g.adj, labels=None, vertex_transitive=False)
+    assert nb_trace(g, 10) == nb_trace(g_no_flag, 10)
+
+
+def test_nb_trace_beyond_int64_range():
+    g = complete(4)
+    g_no_flag = type(g)(n=g.n, adj=g.adj, labels=None, vertex_transitive=False)
+    big = nb_trace(g, 45)           # 3^46 > 2^62: counted in Python ints
+    assert big == nb_trace(g_no_flag, 45)
+    assert all(type(v) is int for v in big.exact)
+    formula = nb_spectral_formula(spectrum(g).values, big.p, 45)
+    assert all(abs(f - t) <= 1e-6 + 1e-12 * t
+               for f, t in zip(formula, big.cumulative))

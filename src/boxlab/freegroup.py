@@ -8,11 +8,14 @@ adjacent inverse pair; its length is the word metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import psl
 from .errors import ResourceLimitError
+from .graphs import bfs_tree, generator_table
 from .quaternion import GeneratorSet, quaternion_generators
 from .zmod import LpsParams
 
@@ -68,12 +71,11 @@ class SchreierData:
     transversal: list[tuple[int, ...]]          # shortest word per coset
     sgen_of: dict[tuple[int, int], tuple[int, int]]  # (coset, letter) -> (index, sign)
     rank: int
-    elements: list
-    mul: Callable
-    index: dict = field(repr=False)
 
     def coset_mul(self, c1: int, c2: int) -> int:
-        return self.index[self.mul(self.elements[c1], self.elements[c2])]
+        for l in self.transversal[c2]:
+            c1 = self.table[c1][l]
+        return c1
 
 
 def schreier_build(elements: Sequence, mul: Callable, identity,
@@ -82,59 +84,36 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
     letters to gen_images.  Raises if the images do not generate."""
     if len(gen_images) != 3:
         raise ValueError("need images for exactly three generators")
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("duplicate elements in quotient")
-    inverses = []
-    for g in gen_images:
-        inv = next((h for h in elements if mul(g, h) == identity), None)
-        if inv is None:
-            raise ValueError("generator image has no inverse in element list")
-        inverses.append(inv)
-    letter_img = [gen_images[0], inverses[0], gen_images[1], inverses[1],
-                  gen_images[2], inverses[2]]
+    index, images = generator_table(elements, mul, gen_images)
+    n = len(index)
+    # letter 2j is gen_images[j]; right multiplication by its inverse,
+    # letter 2j + 1, is the inverse permutation of that column
+    if not (np.sort(images, axis=0) == np.arange(n)[:, None]).all():
+        raise ValueError("generator image has no inverse in element list")
+    letters = np.empty((n, N_LETTERS), dtype=np.int64)
+    letters[:, 0::2] = images
+    letters[:, 1::2] = np.argsort(images, axis=0)
 
     # BFS from the identity with letter priority; discovery order numbers cosets
-    order = [identity]
-    coset_of = {index[identity]: 0}
-    parent: list[tuple[int, int] | None] = [None]
-    head = 0
-    while head < len(order):
-        e = order[head]
-        for l in range(N_LETTERS):
-            t = mul(e, letter_img[l])
-            ti = index.get(t)
-            if ti is None:
-                raise ValueError("quotient not closed under generator images")
-            if ti not in coset_of:
-                coset_of[ti] = len(order)
-                parent.append((head, l))
-                order.append(t)
-        head += 1
-    if len(order) < len(elements):
+    order, parent, via = bfs_tree(letters, index[identity])
+    if len(order) < n:
         raise ValueError(
             f"generator images generate a proper subgroup of order "
-            f"{len(order)} < {len(elements)}")
+            f"{len(order)} < {n}")
+    coset_of = np.argsort(order)
+    table = coset_of[letters[order]].tolist()
 
-    table = [[-1] * N_LETTERS for _ in order]
-    for c, e in enumerate(order):
-        for l in range(N_LETTERS):
-            table[c][l] = coset_of[index[mul(e, letter_img[l])]]
-
-    transversal: list[tuple[int, ...]] = [()] * len(order)
-    for c in range(1, len(order)):
-        pc, pl = parent[c]  # type: ignore[misc]
-        transversal[c] = transversal[pc] + (pl,)
-
+    transversal: list[tuple[int, ...]] = [()] * n
     tree = set()
-    for c in range(1, len(order)):
-        pc, pl = parent[c]  # type: ignore[misc]
+    for c in range(1, n):
+        pc, pl = int(coset_of[parent[order[c]]]), via[order[c]]
+        transversal[c] = transversal[pc] + (pl,)
         tree.add((pc, pl))
         tree.add((c, pl ^ 1))
 
     sgen_of: dict[tuple[int, int], tuple[int, int]] = {}
     rank = 0
-    for c in range(len(order)):
+    for c in range(n):
         for l in range(N_LETTERS):
             if (c, l) in tree or (c, l) in sgen_of:
                 continue
@@ -142,10 +121,10 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
             sgen_of[(c, l)] = (rank, 1)
             sgen_of[(target, l ^ 1)] = (rank, -1)
             rank += 1
-    assert rank == 2 * len(order) + 1
-    return SchreierData(n_cosets=len(order), table=table, transversal=transversal,
-                        sgen_of=sgen_of, rank=rank, elements=list(order), mul=mul,
-                        index={e: i for i, e in enumerate(order)})
+    if rank != 2 * n + 1:
+        raise RuntimeError(f"{rank} Schreier generators, expected {2 * n + 1}")
+    return SchreierData(n_cosets=n, table=table, transversal=transversal,
+                        sgen_of=sgen_of, rank=rank)
 
 
 @dataclass

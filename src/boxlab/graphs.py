@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
+import numpy as np
+
 from .errors import ResourceLimitError
 
 
@@ -20,8 +22,7 @@ class Graph:
     vertex_transitive: bool = False
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None,
-                   vertex_transitive: bool = False) -> "Graph":
+    def from_edges(cls, n: int, edges, vertex_transitive: bool = False) -> "Graph":
         seen = set()
         lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -36,11 +37,18 @@ class Graph:
             lists[u].append(v)
             lists[v].append(u)
         return cls(n=n, adj=tuple(tuple(sorted(l)) for l in lists),
-                   labels=tuple(labels) if labels is not None else None,
                    vertex_transitive=vertex_transitive)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 (src, dst) of every arc u -> v, in adjacency order."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64),
+                        [len(a) for a in self.adj])
+        dst = np.fromiter(itertools.chain.from_iterable(self.adj),
+                          dtype=np.int64, count=len(src))
+        return src, dst
 
     @property
     def num_edges(self) -> int:
@@ -97,25 +105,16 @@ class Graph:
         return True
 
     def adjacency_matrix(self):
-        import numpy as np
-
         a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            for v in self.adj[u]:
-                a[u, v] = 1.0
+        a[self.arcs()] = 1.0
         return a
 
     def sparse_adjacency(self):
-        import numpy as np
         from scipy import sparse
 
-        rows, cols = [], []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                rows.append(u)
-                cols.append(v)
-        data = np.ones(len(rows))
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        src, dst = self.arcs()
+        return sparse.csr_matrix((np.ones(len(src)), (src, dst)),
+                                 shape=(self.n, self.n))
 
     def write_file(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -172,37 +171,72 @@ def petersen() -> Graph:
 # --- Cayley graphs ---------------------------------------------------------
 
 
+def generator_table(elements: Sequence[Hashable], mul: Callable,
+                    gens: Sequence[Hashable]) -> tuple[dict, np.ndarray]:
+    """Element index and int64 table[i, j] = index of mul(elements[i], gens[j]),
+    one mul call per entry; ValueError on duplicate or unclosed elements."""
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
+    flat = np.fromiter((index.get(mul(x, s), -1) for x in elements for s in gens),
+                       dtype=np.int64, count=len(elements) * len(gens))
+    if (flat < 0).any():
+        raise ValueError("elements not closed under the generators")
+    return index, flat.reshape(len(elements), len(gens))
+
+
+def bfs_tree(table: np.ndarray, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Queue BFS from root along a right-multiplication table, columns in
+    order: the vertices in discovery order and, per vertex, the vertex and
+    column it was reached by (the root: itself and -1; unreached: -1, -1)."""
+    rows = table.tolist()
+    parent = [-1] * len(rows)
+    via = [-1] * len(rows)
+    parent[root] = root
+    order = [root]
+    for u in order:                 # the loop also visits what it appends
+        for j, v in enumerate(rows[u]):
+            if parent[v] < 0:
+                parent[v] = u
+                via[v] = j
+                order.append(v)
+    return order, parent, via
+
+
 @dataclass(eq=False)
 class CayleyGraph:
+    """A Cayley graph with its group kept as a generator table: element i
+    times generator j is element table[i, j], and parent/via hold a BFS tree
+    from the identity, so every element has a word in the generators."""
+
     graph: Graph
     elements: list
     identity_index: int
-    mul: Callable
     index: dict = field(repr=False)
-    generator_indices: tuple[int, ...] = ()
-    _inv_cache: dict = field(default_factory=dict, repr=False)
+    generator_indices: tuple[int, ...]
+    table: np.ndarray = field(repr=False)
+    parent: list[int] = field(repr=False)
+    via: list[int] = field(repr=False)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.index[self.mul(self.elements[i], self.elements[j])]
-
-    def inv_idx(self, i: int) -> int:
-        hit = self._inv_cache.get(i)
-        if hit is None:
-            e = self.elements[self.identity_index]
-            hit = next(j for j in range(len(self.elements))
-                       if self.mul(self.elements[i], self.elements[j]) == e)
-            self._inv_cache[i] = hit
-        return hit
+    def right_translation(self, z: int) -> np.ndarray:
+        """The permutation x -> x * z of the element indices, walked along
+        the generator word of z in the BFS tree."""
+        word = []
+        while z != self.identity_index:
+            word.append(self.via[z])
+            z = self.parent[z]
+        perm = np.arange(self.graph.n)
+        for j in reversed(word):
+            perm = self.table[perm, j]
+        return perm
 
 
 def cayley_graph(elements: Sequence[Hashable], mul: Callable,
                  gens: Sequence[Hashable]) -> CayleyGraph:
     """Cayley graph on the given element list.  gens must exclude the
-    identity and be closed under inverses; non-generating sets raise."""
+    identity, be distinct and be closed under inverses; non-generating sets
+    raise."""
     elements = list(elements)
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("duplicate elements")
     probe = elements[0]
     identity = next((e for e in elements
                      if mul(e, probe) == probe and mul(probe, e) == probe), None)
@@ -211,25 +245,25 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     gens = list(gens)
     if identity in gens:
         raise ValueError("identity may not be a generator")
-    for s in gens:
-        if not any(mul(s, t) == identity for t in gens):
+    index, table = generator_table(elements, mul, gens)
+    ident = index[identity]
+    gen_idx = table[ident]
+    if len(set(gen_idx.tolist())) < len(gens):
+        raise ValueError("duplicate generators")
+    for s, row in zip(gens, table[gen_idx]):
+        if ident not in row:
             raise ValueError(f"generator set not closed under inverses: {s!r}")
-    edges = set()
-    for i, x in enumerate(elements):
-        for s in gens:
-            j = index[mul(x, s)]
-            edges.add((i, j) if i < j else (j, i))
-    graph = Graph.from_edges(len(elements), sorted(edges), labels=elements,
-                             vertex_transitive=True)
-    reach = graph.bfs_distances(index[identity])
-    size = sum(1 for d in reach if d >= 0)
-    if size < len(elements):
+    order, parent, via = bfs_tree(table, ident)
+    if len(order) < len(elements):
         raise ValueError(
-            f"generators do not generate: reached component of size {size} "
-            f"of {len(elements)}")
-    return CayleyGraph(graph=graph, elements=elements,
-                       identity_index=index[identity], mul=mul, index=index,
-                       generator_indices=tuple(index[s] for s in gens))
+            f"generators do not generate: reached component of size "
+            f"{len(order)} of {len(elements)}")
+    adj = tuple(map(tuple, np.sort(table, axis=1).tolist()))
+    graph = Graph(n=len(elements), adj=adj, labels=tuple(elements),
+                  vertex_transitive=True)
+    return CayleyGraph(graph=graph, elements=elements, identity_index=ident,
+                       index=index, generator_indices=tuple(gen_idx.tolist()),
+                       table=table, parent=parent, via=via)
 
 
 # --- girth and Cheeger -----------------------------------------------------
@@ -368,8 +402,6 @@ class CoverGraph:
 
     def deck_translate(self, shift: Sequence[int]) -> list[int]:
         """Vertex permutation translating the Z_m^r coordinate by shift."""
-        import numpy as np
-
         m, r = self.m, self.rank
         if len(shift) != r:
             raise ValueError(f"shift has {len(shift)} coordinates, rank is {r}")
@@ -434,14 +466,10 @@ def verify_covering(cover: CoverGraph) -> bool:
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
     """Whether perm is a permutation of range(n) mapping edges onto edges."""
-    import numpy as np
-
     n = graph.n
     p = np.asarray(perm, dtype=np.int64)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         return False
     # a bijection maps the arcs u -> v injectively, so they must sort equal
-    src = np.repeat(np.arange(n), [len(a) for a in graph.adj])
-    dst = np.fromiter(itertools.chain.from_iterable(graph.adj), dtype=np.int64,
-                      count=len(src))
+    src, dst = graph.arcs()
     return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))

@@ -109,7 +109,8 @@ def quaternion_generators(p: int) -> GeneratorSet:
                     continue
                 for s3 in ({x3, -x3} if x3 else {0}):
                     sols.append(Quat(x0, x1, x2, s3))
-    assert len(sols) == p + 1, f"expected {p + 1} solutions, found {len(sols)}"
+    if len(sols) != p + 1:
+        raise RuntimeError(f"expected {p + 1} solutions, found {len(sols)}")
     positives = [s for s in sols if _first_imag_sign(s) > 0]
     positives.sort(reverse=True)
     elements: list[Quat] = []
@@ -117,7 +118,8 @@ def quaternion_generators(p: int) -> GeneratorSet:
         elements.append(g)
         elements.append(g.conjugate())
     gens = GeneratorSet(p=p, elements=tuple(elements))
-    assert set(gens.elements) == set(sols)
+    if set(gens.elements) != set(sols):
+        raise RuntimeError("generator list is not the solution set")
     return gens
 
 
@@ -143,7 +145,8 @@ def word_to_class(word: Sequence[int], gens: GeneratorSet) -> Quat:
     for letter in word:
         out = out * gens.elements[letter]
     out = canonical_class(out)
-    assert out.norm() == 5 ** len(word)
+    if out.norm() != 5 ** len(word):
+        raise RuntimeError(f"class of norm {out.norm()}, expected 5^{len(word)}")
     return out
 
 
@@ -217,6 +220,7 @@ def loop_count_quat(n: int, m: int, q: int) -> int:
         rem = 5 ** m - a * a
         if rem < 0:
             continue
-        assert rem % divisor == 0
+        if rem % divisor:
+            raise RuntimeError(f"5^{m} - {a}^2 is not divisible by {divisor}")
         total += count_three_squares(rem // divisor)
     return total

@@ -84,12 +84,14 @@ def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
     for e in range(a_order):
         beta_of[a] = e
         a = a * gen % mod
-    assert a == 1, "1 + q^k must have order q^(n-k)"
+    if a != 1:
+        raise RuntimeError("1 + q^k must have order q^(n-k)")
     a_inv = {v: pow(v, -1, mod) for v in beta_of}
     b_values = range(0, mod, q ** k)
     elements = [(av, b) for av in sorted(beta_of, key=beta_of.get)
                 for b in b_values]
-    assert len(elements) == order
+    if len(elements) != order:
+        raise RuntimeError(f"{len(elements)} elements, expected order {order}")
     return BorelGroup(q=q, k=k, n=n, elements=elements,
                       index={e: i for i, e in enumerate(elements)},
                       beta_of=beta_of, a_inv=a_inv)

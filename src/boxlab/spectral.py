@@ -48,26 +48,21 @@ class ExtremeSpectrum:
     residual_smallest: float
 
 
-def spectrum(graph: Graph, mode: str = "dense"):
-    """Adjacency spectrum.  Dense mode returns the full Spectrum (|V| <= 4000);
-    extreme mode returns certified extreme eigenvalues on the complement of
-    the constant vector."""
-    if mode == "dense":
-        if graph.n > DENSE_LIMIT:
-            raise ValueError(f"dense mode limited to {DENSE_LIMIT} vertices")
-        from scipy.linalg import eigh
+def spectrum(graph: Graph) -> Spectrum:
+    """Full adjacency spectrum by a dense solve (|V| <= 4000); the extreme
+    eigenvalues of larger graphs come from extreme_spectrum."""
+    if graph.n > DENSE_LIMIT:
+        raise ValueError(f"dense spectrum limited to {DENSE_LIMIT} vertices")
+    from scipy.linalg import eigh
 
-        a = graph.adjacency_matrix()
-        vals, vecs = eigh(a)
-        residual = float(np.abs(a @ vecs - vecs * vals).max())
-        k = graph.k if graph.is_regular() else max(graph.degrees())
-        if residual > 1e-9 * max(1, k):
-            raise RuntimeError(f"dense solve residual {residual} too large")
-        return Spectrum(values=tuple(float(v) for v in vals),
-                        operator="adjacency", k=k, residual=residual)
-    if mode == "extreme":
-        return extreme_spectrum(graph)
-    raise ValueError(f"unknown mode {mode!r}")
+    a = graph.adjacency_matrix()
+    vals, vecs = eigh(a)
+    residual = float(np.abs(a @ vecs - vecs * vals).max())
+    k = graph.k if graph.is_regular() else max(graph.degrees())
+    if residual > 1e-9 * max(1, k):
+        raise RuntimeError(f"dense solve residual {residual} too large")
+    return Spectrum(values=tuple(float(v) for v in vals),
+                    operator="adjacency", k=k, residual=residual)
 
 
 def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
@@ -262,7 +257,7 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
     k = graph.k
     p = k - 1
     n = graph.n
-    nbrs = np.array(graph.adj, dtype=np.int64).reshape(n, k)
+    nbrs = graph.arcs()[1].reshape(n, k)
     # |A T_{m-1}| < 2 k^m; Python ints take over where int64 could overflow
     dtype = np.int64 if k ** (M + 1) < 2 ** 62 else object
     sources = [0] if graph.vertex_transitive else range(n)

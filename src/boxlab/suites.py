@@ -1,8 +1,9 @@
 """Verification bundles: one function per acceptance criterion.
 
-Each function returns a plain dict {criterion, name, passed, details} so the
-CLI can aggregate them into reports and the test suite can assert on them.
-All randomness is seeded; details contain only reproducible values.
+Each function takes a seed (most ignore it) and returns a plain dict
+{criterion, name, passed, details} so the CLI can aggregate them into
+reports and the test suite can assert on them.  All randomness is seeded;
+details contain only reproducible values.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def criterion_ramanujan(seed: int = 0) -> dict:
     }
 
 
-def criterion_hensel() -> dict:
+def criterion_hensel(seed: int = 0) -> dict:
     """Returned roots square back to u mod q^n for all primes q <= 50 and
     n <= 6; for every modulus q^n <= 1e5 the check runs over ALL u coprime to
     q and the returned pair must exhaust the brute-force solution set."""
@@ -109,7 +110,7 @@ def criterion_hensel() -> dict:
                         "complete_solution_sets": complete_checked}}
 
 
-def criterion_admissible() -> dict:
+def criterion_admissible(seed: int = 0) -> dict:
     """Admissible primes in [3, 100] contain 29 and exclude 13; every verdict
     re-verified by residue enumeration."""
     found = find_admissible_q(3, 100)
@@ -128,7 +129,7 @@ def criterion_admissible() -> dict:
             "details": {"found": found}}
 
 
-def criterion_subgroups() -> dict:
+def criterion_subgroups(seed: int = 0) -> dict:
     """Kernel lattice at small parameters: orders, abelian structure, the
     power-commutator generation identity, and the commutator form of the
     diagonal generator."""
@@ -178,7 +179,7 @@ def criterion_subgroups() -> dict:
             "details": {"cases": rows}}
 
 
-def criterion_covers() -> dict:
+def criterion_covers(seed: int = 0) -> dict:
     """Homology covers over the corpus: fold count, local bijectivity,
     degree, girth monotonicity, deck action by automorphisms."""
     corpus = [("C6", cycle(6)), ("K4", complete(4)),
@@ -216,7 +217,7 @@ def _lift_pairs():
     ]
 
 
-def criterion_lift() -> dict:
+def criterion_lift(seed: int = 0) -> dict:
     """Lifted spectrum equals the base spectrum; relative eigenvectors have
     vanishing fiber sums."""
     rows = []
@@ -267,7 +268,7 @@ def criterion_poincare(seed: int = 0) -> dict:
                         "adversarial": violations}}
 
 
-def criterion_reps() -> dict:
+def criterion_reps(seed: int = 0) -> dict:
     """Representation audit: completeness, orthonormality, the dimension law,
     and agreement with the numeric regular-representation oracle."""
     rows = []
@@ -292,7 +293,7 @@ def criterion_reps() -> dict:
             "details": {"cases": rows}}
 
 
-def criterion_loops() -> dict:
+def criterion_loops(seed: int = 0) -> dict:
     """Loop counts from words and quaternions agree; the trace inequality
     holds on the PSL(2, 29) graph; girth zeros and the spectral formula for
     the walk traces check out."""
@@ -372,7 +373,7 @@ def min_feasible_level(q: int, k: int) -> dict:
             "order_bound_digits": digits}
 
 
-def criterion_feasibility() -> dict:
+def criterion_feasibility(seed: int = 0) -> dict:
     r29 = min_feasible_level(29, 1)
     r3 = min_feasible_level(3, 1)
     passed = (r29["n_min"] == 6 * (6 + 2 * 29 ** 4)
@@ -416,7 +417,7 @@ def run_suite(name: str, seed: int = 0) -> list[dict]:
     results = []
     for fn in SUITES[name]:
         try:
-            results.append(fn(seed) if "seed" in fn.__code__.co_varnames else fn())
+            results.append(fn(seed))
         except Exception as exc:       # a crash is a failed criterion
             results.append({"criterion": None, "name": fn.__name__,
                             "passed": False, "details": {"error": repr(exc)}})

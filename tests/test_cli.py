@@ -69,7 +69,7 @@ def test_cli_stdout_default(capsys):
 def test_cli_failing_suite_exits_nonzero(tmp_path, monkeypatch, capsys):
     import boxlab.suites as suites
 
-    def broken():
+    def broken(seed: int = 0):
         return {"criterion": 99, "name": "always-fails", "passed": False,
                 "details": {}}
 

@@ -82,6 +82,80 @@ def test_schreier_psl23():
         assert all(w[:i] in words for i in range(len(w)))
 
 
+# --- the retired two-pass build, kept as an oracle ----------------------------
+
+
+def schreier_two_pass(elements, mul, identity, gen_images):
+    """(table, transversal, sgen_of, elements in coset order)."""
+    index = {e: i for i, e in enumerate(elements)}
+    inverses = [next(h for h in elements if mul(g, h) == identity)
+                for g in gen_images]
+    letter_img = [gen_images[0], inverses[0], gen_images[1], inverses[1],
+                  gen_images[2], inverses[2]]
+    order = [identity]
+    coset_of = {index[identity]: 0}
+    parent = [None]
+    head = 0
+    while head < len(order):
+        for l in range(6):
+            t = mul(order[head], letter_img[l])
+            if index[t] not in coset_of:
+                coset_of[index[t]] = len(order)
+                parent.append((head, l))
+                order.append(t)
+        head += 1
+    table = [[coset_of[index[mul(e, letter_img[l])]] for l in range(6)]
+             for e in order]
+    transversal = [()] * len(order)
+    tree = set()
+    for c in range(1, len(order)):
+        pc, pl = parent[c]
+        transversal[c] = transversal[pc] + (pl,)
+        tree.update({(pc, pl), (c, pl ^ 1)})
+    sgen_of = {}
+    rank = 0
+    for c in range(len(order)):
+        for l in range(6):
+            if (c, l) not in tree and (c, l) not in sgen_of:
+                sgen_of[(c, l)] = (rank, 1)
+                sgen_of[(table[c][l], l ^ 1)] = (rank, -1)
+                rank += 1
+    return table, transversal, sgen_of, order
+
+
+def psl23_quotient_input():
+    return (psl.psl_elements(3, 1), lambda a, b: psl.mat_mul(a, b, 3, 3),
+            psl.canon(psl.IDENT, 3, 3),
+            [psl.canon(m, 3, 3)
+             for m in ((1, 1, 0, 1), (0, 1, -1, 0), (1, 0, 1, 1))])
+
+
+@pytest.mark.parametrize("name", ["Z2", "psl23"])
+def test_schreier_matches_two_pass_build(name):
+    args = (([0, 1], lambda a, b: a ^ b, 0, [1, 1, 1]) if name == "Z2"
+            else psl23_quotient_input())
+    sd = schreier_build(*args)
+    table, transversal, sgen_of, order = schreier_two_pass(*args)
+    assert (sd.table, sd.transversal, sd.sgen_of) == \
+        (table, transversal, sgen_of)
+    mul = args[1]
+    for c1, x in enumerate(order):
+        for c2, y in enumerate(order):
+            assert order[sd.coset_mul(c1, c2)] == mul(x, y)
+
+
+def test_schreier_makes_one_mul_call_per_element_and_image():
+    elements, mul, identity, images = psl23_quotient_input()
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    schreier_build(elements, counting_mul, identity, images)
+    assert len(calls) == 3 * len(elements)
+
+
 def test_schreier_rejects_non_generating():
     with pytest.raises(ValueError, match="proper subgroup"):
         schreier_build([0, 1, 2, 3], lambda a, b: a ^ b, 0, [1, 1, 1])

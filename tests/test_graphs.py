@@ -9,6 +9,9 @@ from boxlab.graphs import (Graph, cayley_graph, cheeger_exact, complete,
                            complete_bipartite, cycle, girth, homology_cover,
                            is_automorphism, petersen, read_graph_file,
                            spanning_tree, verify_covering)
+from boxlab.quaternion import quaternion_generators
+from boxlab.suites import lps_cayley
+from boxlab.zmod import LpsParams
 
 
 def psl23_cayley():
@@ -298,3 +301,65 @@ def test_is_automorphism_matches_edge_set_check(corpus_cover, name):
     results = [is_automorphism(g, p) for p in perms]
     assert results == [is_automorphism_edge_set(g, p) for p in perms]
     assert results[:2] == [True, True]
+
+
+# --- the retired edge-set Cayley build, kept as an oracle ---------------------
+
+
+def cayley_adj_edge_set(elements, mul, gens):
+    index = {e: i for i, e in enumerate(elements)}
+    edges = set()
+    for i, x in enumerate(elements):
+        for s in gens:
+            j = index[mul(x, s)]
+            edges.add((i, j) if i < j else (j, i))
+    return Graph.from_edges(len(elements), sorted(edges)).adj
+
+
+def cayley_input(name):
+    if name == "C6":
+        return list(range(6)), lambda a, b: (a + b) % 6, [1, 5]
+    if name == "psl23":    # u, u^-1 and h
+        return psl.psl_elements(3, 1), lambda a, b: psl.mat_mul(a, b, 3, 3), \
+            [psl.canon(m, 3, 3)
+             for m in ((1, 1, 0, 1), (1, -1, 0, 1), (0, 1, -1, 0))]
+    params = LpsParams.build(29, 1)
+    mats = psl.lps_letter_images(quaternion_generators(params.p), 29, 1,
+                                 params.epsilon(1))
+    return lps_cayley(29).elements, lambda a, b: psl.mat_mul(a, b, 29, 29), mats
+
+
+@pytest.mark.parametrize("name", ["C6", "psl23", "lps29"])
+def test_cayley_table_matches_edge_set(name):
+    elements, mul, gens = cayley_input(name)
+    cay = lps_cayley(29) if name == "lps29" else cayley_graph(elements, mul, gens)
+    assert cay.graph.adj == cayley_adj_edge_set(elements, mul, gens)
+    assert cay.table.shape == (len(elements), len(gens))
+
+
+def test_right_translation_matches_mul():
+    cay = psl23_cayley()
+    elems = cay.elements
+    for z in range(len(elems)):
+        perm = cay.right_translation(z)
+        assert [elems[y] for y in perm] == \
+            [psl.mat_mul(x, elems[z], 3, 3) for x in elems]
+
+
+def test_cayley_mul_call_budget():
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return psl.mat_mul(a, b, 3, 3)
+
+    elems, _, gens = cayley_input("psl23")
+    cayley_graph(elems, counting_mul, gens)
+    assert len(calls) <= len(elems) * len(gens) + 2 * len(elems)
+
+
+def test_cayley_rejects_unclosed_elements_and_duplicate_gens():
+    with pytest.raises(ValueError, match="not closed"):
+        cayley_graph(list(range(6)), lambda a, b: (a + b) % 7, [1, 5])
+    with pytest.raises(ValueError, match="duplicate generators"):
+        cayley_graph(list(range(6)), lambda a, b: (a + b) % 6, [1, 5, 1])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boxlab import psl
 from boxlab.graphs import cayley_graph, complete, cycle, homology_cover, petersen
 from boxlab.poincare import (KernelPairMeasure, LipschitzMap, adversarial_map,
                              certify_relative, distance_map, double_sum,
@@ -208,3 +209,65 @@ def test_lipschitz_defect_matches_edge_loop():
     for phi in maps:
         assert phi.lipschitz_defect() == lipschitz_defect_edge_loop(phi)
     assert maps[-1].lipschitz_defect() == (0.0, (-1, -1))
+
+
+# --- the retired mul loops, kept as oracles ----------------------------------
+
+
+def adversarial_vectors_mul_loop(elements, mul, gens, f):
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    mul_idx = lambda i, j: index[mul(elements[i], elements[j])]
+    identity = next(i for i in range(n)
+                    if all(mul_idx(i, j) == j for j in range(n)))
+    inv = [next(j for j in range(n) if mul_idx(i, j) == identity)
+           for i in range(n)]
+    vectors = np.empty((n, n))
+    for x in range(n):
+        for y in range(n):
+            vectors[x, y] = f[mul_idx(inv[y], x)]
+    stretches = [sum((f[u] - f[mul_idx(u, index[s])]) ** 2 for u in range(n))
+                 for s in gens]
+    return vectors / math.sqrt(max(stretches))
+
+
+def kernel_blocks_mul_loop(elements, mul, kernel):
+    index = {e: i for i, e in enumerate(elements)}
+    block_of = [-1] * len(elements)
+    n_blocks = 0
+    for i, x in enumerate(elements):
+        if block_of[i] < 0:
+            for z in kernel:
+                block_of[index[mul(x, z)]] = n_blocks
+            n_blocks += 1
+    return block_of
+
+
+def psl23_input():
+    return (psl.psl_elements(3, 1), lambda a, b: psl.mat_mul(a, b, 3, 3),
+            [psl.canon(m, 3, 3)
+             for m in ((1, 1, 0, 1), (1, -1, 0, 1), (0, 1, -1, 0))])
+
+
+@pytest.mark.parametrize("name", ["C16", "psl23"])
+def test_adversarial_map_matches_mul_loop(name):
+    if name == "C16":
+        elements, mul, gens = list(range(16)), lambda a, b: (a + b) % 16, [1, 15]
+    else:
+        elements, mul, gens = psl23_input()
+    cay = cayley_graph(elements, mul, gens)
+    f = np.random.default_rng(3).standard_normal(len(elements))
+    phi = adversarial_map(cay, f)
+    assert np.array_equal(phi.vectors,
+                          adversarial_vectors_mul_loop(elements, mul, gens, f))
+
+
+def test_kernel_measure_matches_mul_loop_on_psl23():
+    elements, mul, gens = psl23_input()
+    ident = psl.canon(psl.IDENT, 3, 3)
+    # the Klein four-group: the identity and the three involutions of A4
+    kernel = [x for x in elements if mul(x, x) == ident]
+    assert len(kernel) == 4
+    mu = KernelPairMeasure.from_kernel(cayley_graph(elements, mul, gens), kernel)
+    assert mu == KernelPairMeasure.from_fibers(
+        kernel_blocks_mul_loop(elements, mul, kernel))

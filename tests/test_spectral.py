@@ -5,8 +5,9 @@ import pytest
 
 from boxlab.graphs import (complete, complete_bipartite, cycle, girth,
                            homology_cover, petersen)
-from boxlab.spectral import (eigenvalue_threshold, lift_decomposition,
-                             nb_closed_walks_brute, nb_spectral_formula,
+from boxlab.spectral import (eigenvalue_threshold, extreme_spectrum,
+                             lift_decomposition, nb_closed_walks_brute,
+                             nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
                              trace_inequality_audit, write_spectrum_csv)
 
@@ -71,7 +72,7 @@ def test_ramanujan_disconnected_rejected():
 
 def test_extreme_mode_matches_dense():
     g = petersen()
-    ext = spectrum(g, mode="extreme")
+    ext = extreme_spectrum(g)
     dense = sorted(spectrum(g).values)
     assert abs(ext.second_largest - dense[-2]) < 1e-7
     assert abs(ext.smallest - dense[0]) < 1e-7

@@ -55,7 +55,8 @@ def cmd_feasibility(args) -> int:
 
 def cmd_pipeline(args) -> int:
     start = time.monotonic()
-    results = run_suite(args.suite, seed=args.seed)
+    criteria: dict[str, float] = {}
+    results = run_suite(args.suite, seed=args.seed, timings=criteria)
     elapsed = time.monotonic() - start
     csv_files = None
     if args.csv_dir:
@@ -75,7 +76,9 @@ def cmd_pipeline(args) -> int:
     if csv_files is not None:
         report["csv_files"] = csv_files
     if args.timings:
-        report["timings"] = {"total_seconds": round(elapsed, 3)}
+        report["timings"] = {
+            "total_seconds": round(elapsed, 3),
+            "criteria": {k: round(v, 3) for k, v in criteria.items()}}
     _write_report(report, args.out)
     if not report["pass"]:
         failing = [r["name"] for r in results if not r["passed"]]

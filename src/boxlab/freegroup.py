@@ -15,7 +15,7 @@ import numpy as np
 
 from . import psl
 from .errors import ResourceLimitError
-from .graphs import bfs_tree, generator_table
+from .graphs import bfs_tree, generator_table, inverse_permutations
 from .quaternion import GeneratorSet, quaternion_generators
 from .zmod import LpsParams
 
@@ -88,11 +88,9 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
     n = len(index)
     # letter 2j is gen_images[j]; right multiplication by its inverse,
     # letter 2j + 1, is the inverse permutation of that column
-    if not (np.sort(images, axis=0) == np.arange(n)[:, None]).all():
-        raise ValueError("generator image has no inverse in element list")
     letters = np.empty((n, N_LETTERS), dtype=np.int64)
     letters[:, 0::2] = images
-    letters[:, 1::2] = np.argsort(images, axis=0)
+    letters[:, 1::2] = inverse_permutations(images)
 
     # BFS from the identity with letter priority; discovery order numbers cosets
     order, parent, via = bfs_tree(letters, index[identity])
@@ -143,9 +141,8 @@ class HomologyElement:
         return self.coset == 0 and not self.vector
 
     def __mul__(self, other: "HomologyElement") -> "HomologyElement":
-        coset = self.sd.coset_mul(self.coset, other.coset)
         vec = dict(self.vector)
-        _scan(other.word, self.sd, self.q, self.coset, vec)
+        coset = _scan(other.word, self.sd, self.q, self.coset, vec)
         return HomologyElement(coset=coset, vector=vec,
                                word=reduce_word(self.word + other.word),
                                sd=self.sd, q=self.q)

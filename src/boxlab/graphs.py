@@ -185,22 +185,37 @@ def generator_table(elements: Sequence[Hashable], mul: Callable,
     return index, flat.reshape(len(elements), len(gens))
 
 
+def inverse_permutations(columns: np.ndarray) -> np.ndarray:
+    """The inverse of each column of an (n, k) int64 array whose columns are
+    permutations of range(n); ValueError if one is not."""
+    inverse = np.argsort(columns, axis=0)
+    if not (np.take_along_axis(columns, inverse, axis=0)
+            == np.arange(len(columns))[:, None]).all():
+        raise ValueError("a table column is not a permutation")
+    return inverse
+
+
 def bfs_tree(table: np.ndarray, root: int) -> tuple[list[int], list[int], list[int]]:
     """Queue BFS from root along a right-multiplication table, columns in
     order: the vertices in discovery order and, per vertex, the vertex and
-    column it was reached by (the root: itself and -1; unreached: -1, -1)."""
-    rows = table.tolist()
-    parent = [-1] * len(rows)
-    via = [-1] * len(rows)
+    column it was reached by (the root: itself and -1; unreached: -1, -1).
+
+    Run a level at a time: a queue BFS discovers the next level in the
+    row-major order of table[level], first occurrence first."""
+    k = table.shape[1]
+    parent = np.full(len(table), -1, dtype=np.int64)
+    via = np.full(len(table), -1, dtype=np.int64)
     parent[root] = root
-    order = [root]
-    for u in order:                 # the loop also visits what it appends
-        for j, v in enumerate(rows[u]):
-            if parent[v] < 0:
-                parent[v] = u
-                via[v] = j
-                order.append(v)
-    return order, parent, via
+    levels = [np.array([root], dtype=np.int64)]
+    while len(levels[-1]):
+        reached = table[levels[-1]].ravel()
+        fresh = np.flatnonzero(parent[reached] < 0)
+        first = np.sort(fresh[np.unique(reached[fresh], return_index=True)[1]])
+        found = reached[first]
+        parent[found] = levels[-1][first // k]
+        via[found] = first % k
+        levels.append(found)
+    return np.concatenate(levels).tolist(), parent.tolist(), via.tolist()
 
 
 @dataclass(eq=False)
@@ -235,7 +250,13 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
                  gens: Sequence[Hashable]) -> CayleyGraph:
     """Cayley graph on the given element list.  gens must exclude the
     identity, be distinct and be closed under inverses; non-generating sets
-    raise."""
+    raise.
+
+    The |S|^2 products of generators pair each generator with its inverse.
+    One table column per pair is filled with mul, one call per entry; the
+    partner column is its inverse permutation, since x * s^-1 = y exactly
+    when y * s = x.
+    """
     elements = list(elements)
     probe = elements[0]
     identity = next((e for e in elements
@@ -245,20 +266,32 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     gens = list(gens)
     if identity in gens:
         raise ValueError("identity may not be a generator")
-    index, table = generator_table(elements, mul, gens)
+    inverse_of = []
+    for s in gens:
+        hits = [j for j, t in enumerate(gens) if mul(s, t) == identity]
+        if len(hits) > 1:       # s * t = s * u = 1 forces t = u
+            raise ValueError("duplicate generators")
+        if not hits:
+            raise ValueError(f"generator set not closed under inverses: {s!r}")
+        inverse_of.append(hits[0])
+    if any(inverse_of[i] != j for j, i in enumerate(inverse_of)):
+        raise ValueError("generator inverses do not pair up")
+    filled = [j for j, i in enumerate(inverse_of) if j <= i]
+    index, columns = generator_table(elements, mul, [gens[j] for j in filled])
+    table = np.empty((len(elements), len(gens)), dtype=np.int64)
+    table[:, filled] = columns
+    # an involution's column is its own inverse permutation
+    table[:, [inverse_of[j] for j in filled]] = inverse_permutations(columns)
     ident = index[identity]
     gen_idx = table[ident]
-    if len(set(gen_idx.tolist())) < len(gens):
-        raise ValueError("duplicate generators")
-    for s, row in zip(gens, table[gen_idx]):
-        if ident not in row:
-            raise ValueError(f"generator set not closed under inverses: {s!r}")
     order, parent, via = bfs_tree(table, ident)
     if len(order) < len(elements):
         raise ValueError(
             f"generators do not generate: reached component of size "
             f"{len(order)} of {len(elements)}")
-    adj = tuple(map(tuple, np.sort(table, axis=1).tolist()))
+    # rows of one shared int object per vertex, not one per table entry
+    vertex = np.arange(len(elements)).astype(object)
+    adj = tuple(map(tuple, vertex[np.sort(table, axis=1)].tolist()))
     graph = Graph(n=len(elements), adj=adj, labels=tuple(elements),
                   vertex_transitive=True)
     return CayleyGraph(graph=graph, elements=elements, identity_index=ident,

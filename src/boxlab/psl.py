@@ -5,12 +5,18 @@ representative of a projective class scales the first entry that is a unit
 mod q^n (scan order a, b, c, d) to 1; at least one entry is a unit because
 the determinant is.  This identifies M with -M, so canonical tuples carry
 PSL elements whenever the determinant is a square.
+
+``canon_rows``/``mul_rows`` are the same arithmetic on (N, 4) int64 arrays,
+one matrix per row; ``canon``/``mat_mul`` are their oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .quaternion import Quat
@@ -44,6 +50,62 @@ def mat_mul(x: Mat, y: Mat, modulus: int, q: int) -> Mat:
 def mat_inv(x: Mat, modulus: int, q: int) -> Mat:
     a, b, c, d = x
     return canon((d, -b, -c, a), modulus, q)
+
+
+# --- batch rows -------------------------------------------------------------
+
+KEY_MODULUS_LIMIT = 55_108      # the largest modulus with modulus**4 < 2**63
+
+
+def _check_key_bound(modulus: int) -> None:
+    if modulus ** 4 >= 2 ** 63:
+        raise ResourceLimitError(
+            f"modulus {modulus} > {KEY_MODULUS_LIMIT}: int64 row keys overflow")
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_inverses(modulus: int, q: int) -> np.ndarray:
+    """inv[e] = e^-1 mod modulus for every unit e, 0 for the non-units."""
+    inv = np.array([pow(e, -1, modulus) if e % q else 0 for e in range(modulus)],
+                   dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
+
+
+def canon_rows(rows, modulus: int, q: int) -> np.ndarray:
+    """``canon`` on every row of an (N, 4) int64 array: the same scan order
+    and the same ValueError."""
+    _check_key_bound(modulus)
+    return _canon_reduced(np.asarray(rows, dtype=np.int64) % modulus, modulus, q)
+
+
+def _canon_reduced(rows: np.ndarray, modulus: int, q: int) -> np.ndarray:
+    """``canon_rows`` in place on an (N, 4) array already reduced mod modulus."""
+    units = rows % q != 0
+    if not units.any(axis=1).all():
+        raise ValueError("matrix has no unit entry; determinant not a unit")
+    pivot = np.take_along_axis(rows, units.argmax(axis=1)[:, None], axis=1)
+    rows *= _unit_inverses(modulus, q)[pivot]
+    rows %= modulus
+    return rows
+
+
+def mul_rows(x, y, modulus: int, q: int) -> np.ndarray:
+    """``mat_mul`` on rows.  x and y are int64 arrays whose last axis holds
+    (a, b, c, d) and whose leading axes broadcast against each other.  Both
+    are reduced mod modulus first, so every a*e + b*g < 2*modulus**2 fits."""
+    _check_key_bound(modulus)
+    x = np.asarray(x, dtype=np.int64) % modulus
+    y = np.asarray(y, dtype=np.int64) % modulus
+    prod = x.reshape(x.shape[:-1] + (2, 2)) @ y.reshape(y.shape[:-1] + (2, 2))
+    shape = prod.shape[:-2] + (4,)
+    prod %= modulus
+    return _canon_reduced(prod.reshape(-1, 4), modulus, q).reshape(shape)
+
+
+def _row_keys(rows: np.ndarray, modulus: int) -> np.ndarray:
+    """One int64 per reduced row, ordered as the tuples are."""
+    return np.ravel_multi_index(tuple(rows.T), (modulus,) * 4)
 
 
 def mat_pow(x: Mat, e: int, modulus: int, q: int) -> Mat:
@@ -122,27 +184,44 @@ def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> list[Mat]:
     return sorted(seen)
 
 
+CLOSURE_BLOCK = 1 << 14     # frontier rows multiplied at once, to bound temporaries
+
+
 def subgroup_closure(gens: list[Mat], modulus: int, q: int,
                      cap: int = 10 ** 7) -> list[Mat]:
-    """Breadth-first closure under right multiplication; insertion-ordered."""
-    identity = canon(IDENT, modulus, q)
-    elements = [identity]
-    index = {identity}
-    frontier = [identity]
-    gens = [canon(g, modulus, q) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(x, g, modulus, q)
-                if y not in index:
-                    if len(elements) >= cap:
-                        raise ResourceLimitError(f"closure exceeded cap {cap}")
-                    index.add(y)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
+    """Breadth-first closure under right multiplication; insertion-ordered.
+
+    Each BFS level is the frontier times the generators in row-major order,
+    multiplied as int64 rows and kept as row keys; its new elements are kept
+    in order of first occurrence, which is the order of an
+    element-at-a-time loop.  ResourceLimitError above KEY_MODULUS_LIMIT or
+    past cap elements.
+    """
+    frontier = canon_rows([IDENT], modulus, q)
+    gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
+                      modulus, q)
+    shape = (modulus,) * 4
+    levels = [_row_keys(frontier, modulus)]
+    seen = levels[0]                                # sorted
+    count = 1
+    while len(frontier):
+        blocks = np.split(frontier, range(CLOSURE_BLOCK, len(frontier),
+                                          CLOSURE_BLOCK))
+        keys = np.concatenate([
+            _row_keys(mul_rows(b[:, None], gens, modulus, q).reshape(-1, 4),
+                      modulus) for b in blocks])
+        uniq, first = np.unique(keys, return_index=True)
+        pos = np.searchsorted(seen, uniq)
+        fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq
+        seen = np.insert(seen, pos[fresh], uniq[fresh])
+        new = keys[np.sort(first[fresh])]
+        count += len(new)
+        if count > cap:
+            raise ResourceLimitError(f"closure exceeded cap {cap}")
+        levels.append(new)
+        frontier = np.stack(np.unravel_index(new, shape), axis=1)
+    entries = np.unravel_index(np.concatenate(levels), shape)
+    return list(zip(*(e.tolist() for e in entries)))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 
 from . import psl
 from .freegroup import trivial_word_counts
@@ -411,14 +412,22 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> list[dict]:
+def run_suite(name: str, seed: int = 0,
+              timings: dict | None = None) -> list[dict]:
+    """Run every criterion of a suite.  A crash becomes a failed result
+    carrying the error and the seed; with ``timings``, each result's wall
+    seconds are stored there under its name."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
     for fn in SUITES[name]:
+        start = time.perf_counter()
         try:
             results.append(fn(seed))
         except Exception as exc:       # a crash is a failed criterion
             results.append({"criterion": None, "name": fn.__name__,
-                            "passed": False, "details": {"error": repr(exc)}})
+                            "passed": False,
+                            "details": {"error": repr(exc), "seed": seed}})
+        if timings is not None:
+            timings[results[-1]["name"]] = time.perf_counter() - start
     return results

@@ -79,6 +79,15 @@ def test_cli_failing_suite_exits_nonzero(tmp_path, monkeypatch, capsys):
     assert "always-fails" in capsys.readouterr().err
     assert json.loads(open(out).read())["pass"] is False
 
+    def crashing(seed: int = 0):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(suites.SUITES, "spectra", (crashing,))
+    assert main(["pipeline", "--suite", "spectra", "--seed", "3",
+                 "--out", out]) == 1
+    details = json.loads(open(out).read())["results"][0]["details"]
+    assert details == {"error": "ZeroDivisionError('boom')", "seed": 3}
+
 
 def test_cli_csv_export(tmp_path):
     out = str(tmp_path / "r.json")
@@ -96,3 +105,22 @@ def test_cli_rejects_removed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--suite", "hensel", "--mode", "extreme"])
     assert exc.value.code == 2
+
+
+def test_cli_timings_per_criterion(tmp_path, monkeypatch):
+    import boxlab.suites as suites
+
+    # two quick criteria, so the report has more than one result name
+    monkeypatch.setitem(suites.SUITES, "spectra",
+                        (suites.criterion_lift, suites.criterion_admissible))
+    plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")
+    assert main(["pipeline", "--suite", "spectra", "--out", plain]) == 0
+    assert main(["pipeline", "--suite", "spectra", "--timings",
+                 "--out", timed]) == 0
+    report = json.loads(open(timed).read())
+    timings = report.pop("timings")
+    assert report == json.loads(open(plain).read())
+    assert set(timings) == {"total_seconds", "criteria"}
+    assert sorted(timings["criteria"]) == \
+        sorted(r["name"] for r in report["results"])
+    assert all(isinstance(t, float) for t in timings["criteria"].values())

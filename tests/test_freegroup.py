@@ -209,6 +209,15 @@ def test_homology_map_is_homomorphism():
             assert lhs == rhs
 
 
+def test_homology_product_coset_is_coset_product():
+    rng = random.Random(9)
+    for sd, q in [(z2_quotient(), 3), (psl23_quotient(), 3)]:
+        for _ in range(50):
+            a = homology_map(random_reduced_word(rng, rng.randint(0, 7)), sd, q)
+            b = homology_map(random_reduced_word(rng, rng.randint(0, 7)), sd, q)
+            assert (a * b).coset == sd.coset_mul(a.coset, b.coset)
+
+
 @pytest.fixture(scope="module")
 def ctx29_21():
     return FiberContext.build(29, 2, 1)

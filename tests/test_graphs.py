@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from boxlab import psl
 from boxlab.errors import ResourceLimitError
 from boxlab.graphs import (Graph, cayley_graph, cheeger_exact, complete,
-                           complete_bipartite, cycle, girth, homology_cover,
+                           bfs_tree, complete_bipartite, cycle,
+                           generator_table, girth,
+                           homology_cover, inverse_permutations,
                            is_automorphism, petersen, read_graph_file,
                            spanning_tree, verify_covering)
 from boxlab.quaternion import quaternion_generators
@@ -319,6 +322,8 @@ def cayley_adj_edge_set(elements, mul, gens):
 def cayley_input(name):
     if name == "C6":
         return list(range(6)), lambda a, b: (a + b) % 6, [1, 5]
+    if name == "C64":
+        return list(range(64)), lambda a, b: (a + b) % 64, [1, 63]
     if name == "psl23":    # u, u^-1 and h
         return psl.psl_elements(3, 1), lambda a, b: psl.mat_mul(a, b, 3, 3), \
             [psl.canon(m, 3, 3)
@@ -363,3 +368,68 @@ def test_cayley_rejects_unclosed_elements_and_duplicate_gens():
         cayley_graph(list(range(6)), lambda a, b: (a + b) % 7, [1, 5])
     with pytest.raises(ValueError, match="duplicate generators"):
         cayley_graph(list(range(6)), lambda a, b: (a + b) % 6, [1, 5, 1])
+
+
+# --- inverse columns derived by permutation inversion -------------------------
+
+
+@pytest.mark.parametrize("name", ["C6", "C64", "psl23", "lps29"])
+def test_derived_inverse_columns_match_all_mul_table(name):
+    elements, mul, gens = cayley_input(name)
+    cay = lps_cayley(29) if name == "lps29" else cayley_graph(elements, mul, gens)
+    assert (cay.table == generator_table(elements, mul, gens)[1]).all()
+
+
+def test_cayley_exact_mul_calls_on_lps29():
+    elements, mul, gens = cayley_input("lps29")
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    cayley_graph(elements, counting_mul, gens)
+    # n * |S| / 2 table entries (three inverse pairs), |S|^2 generator
+    # products, and 2 identity probes: elements[0] is the identity
+    assert len(calls) == len(elements) * len(gens) // 2 + len(gens) ** 2 + 2
+
+
+def test_cayley_rejects_generator_without_inverse():
+    elements, mul, gens = cayley_input("psl23")
+    u, _, h = gens
+    with pytest.raises(ValueError, match="inverse"):
+        cayley_graph(elements, mul, [u, h])
+
+
+def test_inverse_permutations_rejects_non_permutation():
+    cols = np.array([[1, 0], [2, 2], [0, 2]])
+    with pytest.raises(ValueError, match="not a permutation"):
+        inverse_permutations(cols)
+    assert inverse_permutations(cols[:, :1]).ravel().tolist() == [2, 0, 1]
+
+
+def bfs_tree_queue(table, root):
+    """The retired element-at-a-time queue BFS, kept as an oracle."""
+    rows = table.tolist()
+    parent = [-1] * len(rows)
+    via = [-1] * len(rows)
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for j, v in enumerate(rows[u]):
+            if parent[v] < 0:
+                parent[v] = u
+                via[v] = j
+                order.append(v)
+    return order, parent, via
+
+
+@pytest.mark.parametrize("name", ["C6", "C64", "psl23", "lps29"])
+def test_bfs_tree_matches_queue_bfs(name):
+    elements, mul, gens = cayley_input(name)
+    table = generator_table(elements, mul, gens)[1]
+    for root in (0, len(elements) // 2, len(elements) - 1):
+        assert bfs_tree(table, root) == bfs_tree_queue(table, root)
+    # a disconnected table: the even and the odd residues of C6 under +2
+    table = generator_table(list(range(6)), lambda a, b: (a + b) % 6, [2, 4])[1]
+    assert bfs_tree(table, 1) == bfs_tree_queue(table, 1)

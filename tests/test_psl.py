@@ -1,8 +1,12 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab import psl
+from boxlab.errors import ResourceLimitError
 from boxlab.quaternion import Quat, quaternion_generators
 from boxlab.zmod import LpsParams
 
@@ -259,3 +263,137 @@ def test_gamma_image_check_fails_when_triple_does_not_span(monkeypatch):
     monkeypatch.setattr(psl, "kernel_generators",
                         lambda q, n, k: (upper, upper, upper))
     assert not psl.gamma_image_check(3, 3, 1).passed
+
+
+# --- the element-at-a-time closure, kept as the oracle of the batch one -------
+
+
+def subgroup_closure_brute(gens, modulus, q, cap=10 ** 7):
+    identity = psl.canon(psl.IDENT, modulus, q)
+    elements = [identity]
+    index = {identity}
+    frontier = [identity]
+    gens = [psl.canon(g, modulus, q) for g in gens]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = psl.mat_mul(x, g, modulus, q)
+                if y not in index:
+                    if len(elements) >= cap:
+                        raise ResourceLimitError(f"closure exceeded cap {cap}")
+                    index.add(y)
+                    elements.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elements
+
+
+def closure_input(name):
+    if name == "lps29":
+        params = LpsParams.build(29, 1)
+        return psl.lps_letter_images(quaternion_generators(5), 29, 1,
+                                     params.epsilon(1)), 29, 29
+    if name == "psl23":
+        return [(1, 1, 0, 1), (1, -1, 0, 1), (0, 1, -1, 0)], 3, 3
+    if name == "identity":
+        return [psl.IDENT], 9, 3
+    kind, *qnk = name.split("-")
+    q, n = int(qnk[0]), int(qnk[1])
+    if kind == "mgen":
+        return list(psl.mgen_generators(q, n)), q ** n, q
+    return list(psl.kernel_generators(q, n, int(qnk[2]))), q ** n, q
+
+
+@pytest.mark.parametrize("name", [
+    "lps29", "psl23", "identity", "mgen-3-2", "mgen-3-3", "mgen-3-4",
+    "mgen-5-2", "kernel-3-2-1", "kernel-3-3-1", "kernel-3-4-2", "kernel-5-2-1"])
+def test_subgroup_closure_matches_brute_order(name):
+    gens, modulus, q = closure_input(name)
+    assert psl.subgroup_closure(gens, modulus, q) == \
+        subgroup_closure_brute(gens, modulus, q)
+
+
+def test_subgroup_closure_cap():
+    gens, modulus, q = closure_input("lps29")
+    assert len(psl.subgroup_closure(gens, modulus, q, cap=12180)) == 12180
+    with pytest.raises(ResourceLimitError):
+        psl.subgroup_closure(gens, modulus, q, cap=12179)
+    with pytest.raises(ResourceLimitError):
+        subgroup_closure_brute(gens, modulus, q, cap=12179)
+
+
+# --- the int64 batch layer against the tuple arithmetic -----------------------
+
+BATCH_LEVELS = [(3, 2), (5, 2), (29, 1), (61, 1), (233, 2)]
+
+
+def random_sl(rng, q, modulus, count):
+    """count random SL(2, Z/modulus) matrices; every other one has a
+    non-unit top-left entry, so the scan must move on to b."""
+    out = []
+    for i, (a, b, c, d) in enumerate(rng.integers(0, modulus, (count, 4)).tolist()):
+        if i % 2:
+            a -= a % q
+        if a % q:
+            d = (1 + b * c) * pow(a, -1, modulus) % modulus
+        else:
+            b += 0 if b % q else 1
+            c = (a * d - 1) * pow(b, -1, modulus) % modulus
+        out.append((a, b, c, d))
+    return out
+
+
+def unreduced(rng, rows, modulus):
+    return np.asarray(rows, dtype=np.int64) + modulus * rng.integers(-3, 4, (len(rows), 4))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(level=st.sampled_from(BATCH_LEVELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_rows_match_tuple_arithmetic(level, seed):
+    q, n = level
+    modulus = q ** n
+    rng = np.random.default_rng(seed)
+    x, y = random_sl(rng, q, modulus, 20), random_sl(rng, q, modulus, 20)
+    # arbitrary rows too: the first unit may sit in any of the four places
+    rows = rng.integers(0, modulus, (20, 4)) * np.where(
+        rng.random((20, 4)) < 0.5, q, 1) % modulus
+    rows = [r for r in map(tuple, rows.tolist()) if any(e % q for e in r)]
+    assert psl.canon_rows(unreduced(rng, x + rows, modulus), modulus, q).tolist() \
+        == [list(psl.canon(m, modulus, q)) for m in x + rows]
+    got = psl.mul_rows(unreduced(rng, x, modulus), unreduced(rng, y, modulus),
+                       modulus, q)
+    assert got.tolist() == [list(psl.mat_mul(a, b, modulus, q))
+                            for a, b in zip(x, y)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(level=st.sampled_from(BATCH_LEVELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_rows_group_axioms(level, seed):
+    q, n = level
+    modulus = q ** n
+    rng = np.random.default_rng(seed)
+    x, y, z = (psl.canon_rows(random_sl(rng, q, modulus, 10), modulus, q)
+               for _ in range(3))
+    ident = psl.canon_rows([psl.IDENT] * 10, modulus, q)
+    inv = [psl.mat_inv(m, modulus, q) for m in map(tuple, x.tolist())]
+    mul = lambda a, b: psl.mul_rows(a, b, modulus, q)
+    assert (mul(mul(x, y), z) == mul(x, mul(y, z))).all()
+    assert (mul(x, ident) == x).all() and (mul(ident, x) == x).all()
+    assert (mul(x, inv) == ident).all() and (mul(inv, x) == ident).all()
+
+
+def test_canon_rows_rejects_row_without_unit():
+    with pytest.raises(ValueError, match="no unit entry"):
+        psl.canon_rows([(1, 0, 0, 1), (3, 6, 0, 9)], 27, 3)
+
+
+def test_batch_layer_key_bound():
+    modulus = 55_109
+    with pytest.raises(ResourceLimitError):
+        psl.canon_rows([psl.IDENT], modulus, modulus)
+    with pytest.raises(ResourceLimitError):
+        psl.mul_rows([psl.IDENT], [psl.IDENT], modulus, modulus)
+    with pytest.raises(ResourceLimitError):
+        psl.subgroup_closure([psl.IDENT], modulus, modulus)
+    assert psl.KEY_MODULUS_LIMIT ** 4 < 2 ** 63 <= modulus ** 4

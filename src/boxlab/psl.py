@@ -58,7 +58,7 @@ KEY_MODULUS_LIMIT = 55_108      # the largest modulus with modulus**4 < 2**63
 
 
 def _check_key_bound(modulus: int) -> None:
-    if modulus ** 4 >= 2 ** 63:
+    if modulus > KEY_MODULUS_LIMIT:
         raise ResourceLimitError(
             f"modulus {modulus} > {KEY_MODULUS_LIMIT}: int64 row keys overflow")
 
@@ -184,9 +184,6 @@ def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> list[Mat]:
     return sorted(seen)
 
 
-CLOSURE_BLOCK = 1 << 14     # frontier rows multiplied at once, to bound temporaries
-
-
 def subgroup_closure(gens: list[Mat], modulus: int, q: int,
                      cap: int = 10 ** 7) -> list[Mat]:
     """Breadth-first closure under right multiplication; insertion-ordered.
@@ -205,11 +202,8 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int,
     seen = levels[0]                                # sorted
     count = 1
     while len(frontier):
-        blocks = np.split(frontier, range(CLOSURE_BLOCK, len(frontier),
-                                          CLOSURE_BLOCK))
-        keys = np.concatenate([
-            _row_keys(mul_rows(b[:, None], gens, modulus, q).reshape(-1, 4),
-                      modulus) for b in blocks])
+        keys = _row_keys(mul_rows(frontier[:, None], gens, modulus, q)
+                         .reshape(-1, 4), modulus)
         uniq, first = np.unique(keys, return_index=True)
         pos = np.searchsorted(seen, uniq)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq

@@ -412,11 +412,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0,
-              timings: dict | None = None) -> list[dict]:
+def run_suite(name: str, seed: int, timings: dict) -> list[dict]:
     """Run every criterion of a suite.  A crash becomes a failed result
-    carrying the error and the seed; with ``timings``, each result's wall
-    seconds are stored there under its name."""
+    carrying the error and the seed.  Each result's wall seconds are stored
+    in ``timings`` under its name."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
@@ -428,6 +427,5 @@ def run_suite(name: str, seed: int = 0,
             results.append({"criterion": None, "name": fn.__name__,
                             "passed": False,
                             "details": {"error": repr(exc), "seed": seed}})
-        if timings is not None:
-            timings[results[-1]["name"]] = time.perf_counter() - start
+        timings[results[-1]["name"]] = time.perf_counter() - start
     return results

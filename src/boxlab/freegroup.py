@@ -8,6 +8,7 @@ adjacent inverse pair; its length is the word metric.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,10 +17,11 @@ import numpy as np
 from . import psl
 from .errors import ResourceLimitError
 from .graphs import bfs_tree, generator_table, inverse_permutations
-from .quaternion import GeneratorSet, quaternion_generators
+from .quaternion import quaternion_generators
 from .zmod import LpsParams
 
 N_LETTERS = 6
+MAX_RADIUS = 12  # largest word length trivial_word_counts accepts
 
 
 def inverse_letter(letter: int) -> int:
@@ -189,18 +191,12 @@ class FiberContext:
     q: int
     n: int
     k: int | None
-    params: LpsParams
-    gens: GeneratorSet
     letter_mats: list[psl.Mat]
     sd: SchreierData | None
 
     @classmethod
-    def build(cls, q: int, n: int, k: int | None = None,
-              params: LpsParams | None = None,
-              psl_cap: int = 10 ** 7) -> "FiberContext":
-        nmax = max(n, k or 0, 1)
-        if params is None:
-            params = LpsParams.build(q, nmax)
+    def build(cls, q: int, n: int, k: int | None = None) -> "FiberContext":
+        params = LpsParams.build(q, max(n, k or 0, 1))
         gens = quaternion_generators(params.p)
         letter_mats = (psl.lps_letter_images(gens, q, n, params.epsilon(n))
                        if n >= 1 else [])
@@ -208,14 +204,13 @@ class FiberContext:
         if k is not None:
             modulus_k = q ** k
             mats_k = psl.lps_letter_images(gens, q, k, params.epsilon(k))
-            elements = psl.psl_elements(q, k, cap=psl_cap)
+            elements = psl.psl_elements(q, k)
             sd = schreier_build(
                 elements,
                 lambda a, b: psl.mat_mul(a, b, modulus_k, q),
                 psl.canon(psl.IDENT, modulus_k, q),
                 [mats_k[0], mats_k[2], mats_k[4]])
-        return cls(q=q, n=n, k=k, params=params, gens=gens,
-                   letter_mats=letter_mats, sd=sd)
+        return cls(q=q, n=n, k=k, letter_mats=letter_mats, sd=sd)
 
 
 def word_matrix(word: Sequence[int], ctx: FiberContext) -> psl.Mat:
@@ -239,103 +234,56 @@ def fiber_map(word: Sequence[int], ctx: FiberContext):
 
 
 def trivial_word_counts(n: int, k: int | None, m: int, q: int,
-                        params: LpsParams | None = None,
-                        ctx: FiberContext | None = None,
-                        max_radius: int = 12) -> list[int]:
+                        ctx: FiberContext | None = None) -> list[int]:
     """counts[d] = number of reduced words of length exactly d that are
     trivial in PSL(2, q^n) (skipped when n = 0) and in the level-k homology
-    quotient (skipped when k is None).  Exhaustive over the radius-m ball."""
-    if m > max_radius:
-        raise ResourceLimitError(f"ball radius {m} exceeds cap {max_radius}")
-    if ctx is None and (n or k is not None):
-        ctx = FiberContext.build(q, max(n, 1), k, params)
+    quotient (skipped when k is None), for d = 0..m.
+
+    Meets in the middle.  A reduced word of length d splits uniquely as
+    u v^-1 with |u| = ceil(d/2) and |v| = floor(d/2); the product is reduced
+    exactly when u and v end in different letters, and trivial exactly when
+    u and v have the same value.  So counts[d] comes from the reduced words
+    of length <= ceil(m/2), tallied by value and by (value, last letter)."""
+    if m < 0 or n < 0:
+        raise ValueError(f"need m >= 0 and n >= 0, got m={m}, n={n}")
+    if m > MAX_RADIUS:
+        raise ResourceLimitError(f"ball radius {m} exceeds cap {MAX_RADIUS}")
     use_mat = n >= 1
     use_hom = k is not None
+    if ctx is None and (use_mat or use_hom):
+        ctx = FiberContext.build(q, n, k)
     if ctx is not None:
         if ctx.q != q or (use_mat and ctx.n != n) or (use_hom and ctx.k != k):
             raise ValueError("context was built for different parameters")
-    modulus = q ** n if use_mat else 0
-    ident = psl.canon(psl.IDENT, modulus, q) if use_mat else None
-    letter_mats = ctx.letter_mats if use_mat else None
+    modulus = q ** n
+    mats = ctx.letter_mats if use_mat else None
     sd = ctx.sd if use_hom else None
 
-    counts = [0] * (m + 1)
-    counts[0] = 1
-    if m == 0:
-        return counts
+    # tallies of the reduced words of each length, by (value, last letter)
+    # and by value; a value is (matrix or None, coset, frozen vector items)
+    start = (psl.canon(psl.IDENT, modulus, q) if use_mat else None, 0,
+             frozenset())
+    by_last = [Counter({(start, None): 1})]
+    by_value = [Counter({start: 1})]
+    for _ in range((m + 1) // 2):
+        level, values = Counter(), Counter()
+        for ((mat, coset, vec), last), count in by_last[-1].items():
+            for l in range(N_LETTERS):
+                if l ^ 1 == last:
+                    continue
+                mat_l = psl.mat_mul(mat, mats[l], modulus, q) if mats else None
+                vec_l = dict(vec)
+                coset_l = _scan((l,), sd, q, coset, vec_l) if sd else coset
+                value = (mat_l, coset_l, frozenset(vec_l.items()))
+                level[(value, l)] += count
+                values[value] += count
+        by_last.append(level)
+        by_value.append(values)
 
-    # iterative DFS; per-branch state is pushed and popped exactly once
-    mat_stack = [ident]
-    coset_stack = [0]
-    vec: dict[int, int] = {}
-    word: list[int] = []
-    undo: list[tuple[int, int] | None] = []
-
-    def push(letter: int) -> None:
-        word.append(letter)
-        if use_mat:
-            mat_stack.append(psl.mat_mul(mat_stack[-1], letter_mats[letter],
-                                         modulus, q))
-        if use_hom:
-            c = coset_stack[-1]
-            hit = sd.sgen_of.get((c, letter))
-            if hit is None:
-                undo.append(None)
-            else:
-                idx, sign = hit
-                old = vec.get(idx, 0)
-                undo.append((idx, old))
-                nv = (old + sign) % q
-                if nv:
-                    vec[idx] = nv
-                else:
-                    vec.pop(idx, None)
-            coset_stack.append(sd.table[c][letter])
-
-    def pop() -> None:
-        word.pop()
-        if use_mat:
-            mat_stack.pop()
-        if use_hom:
-            coset_stack.pop()
-            u = undo.pop()
-            if u is not None:
-                idx, old = u
-                if old:
-                    vec[idx] = old
-                else:
-                    vec.pop(idx, None)
-
-    def trivial() -> bool:
-        if use_mat and mat_stack[-1] != ident:
-            return False
-        if use_hom and (coset_stack[-1] != 0 or vec):
-            return False
-        return True
-
-    def dfs(depth: int) -> None:
-        last = word[-1] if word else None
-        for letter in range(N_LETTERS):
-            if last is not None and letter == last ^ 1:
-                continue
-            push(letter)
-            if trivial():
-                counts[depth] += 1
-            if depth < m:
-                dfs(depth + 1)
-            pop()
-
-    dfs(1)
+    counts = [1] + [0] * m
+    for d in range(1, m + 1):
+        a, b = (d + 1) // 2, d // 2
+        pairs = sum(c * by_value[b][g] for g, c in by_value[a].items())
+        same_last = sum(c * by_last[b][key] for key, c in by_last[a].items())
+        counts[d] = pairs - same_last
     return counts
-
-
-def loop_count_words(n: int, k: int | None, m: int, q: int,
-                     params: LpsParams | None = None) -> int:
-    """Cumulative count of trivial words of length <= m (identity included)."""
-    return sum(trivial_word_counts(n, k, m, q, params))
-
-
-def loop_count_words_exact(n: int, k: int | None, m: int, q: int,
-                           params: LpsParams | None = None) -> int:
-    """Count of trivial words of length exactly m."""
-    return trivial_word_counts(n, k, m, q, params)[m]

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from boxlab import psl
-from boxlab.freegroup import (FiberContext, ball_size, fiber_map, homology_map,
-                              is_reduced, loop_count_words,
-                              loop_count_words_exact, reduce_word,
+from boxlab.errors import ResourceLimitError
+from boxlab.freegroup import (N_LETTERS, FiberContext, ball_size, fiber_map,
+                              homology_map, is_reduced, reduce_word,
                               schreier_build, trivial_word_counts, word_inverse)
 from boxlab.quaternion import loop_count_quat
+from boxlab.spectral import nb_trace
+from boxlab.suites import lps_cayley
 
 
 def z2_quotient():
@@ -258,11 +260,11 @@ def test_injectivity_radius_psl29(ctx29_11):
 
 
 def test_ball_count_no_conditions():
-    assert loop_count_words(0, None, 2, 29) == 37
+    assert sum(trivial_word_counts(0, None, 2, 29)) == 37
 
 
 def test_loop_count_psl29_small_ball():
-    assert loop_count_words(1, None, 2, 29) == 1
+    assert sum(trivial_word_counts(1, None, 2, 29)) == 1
 
 
 def test_kernel_sandwich(ctx29_21, ctx29_11):
@@ -301,5 +303,158 @@ def test_quat_words_agree_n0():
 
 
 def test_loop_count_words_exact():
-    assert loop_count_words_exact(0, None, 2, 29) == 30
-    assert loop_count_words_exact(1, None, 2, 29) == 0
+    assert trivial_word_counts(0, None, 2, 29)[2] == 30
+    assert trivial_word_counts(1, None, 2, 29)[2] == 0
+
+
+def trivial_word_counts_brute(n, k, m, q, ctx=None):
+    """Oracle for trivial_word_counts: a depth-first walk over every reduced
+    word of length <= m, testing each for triviality."""
+    if ctx is None and (n or k is not None):
+        ctx = FiberContext.build(q, max(n, 1), k)
+    use_mat = n >= 1
+    use_hom = k is not None
+    if ctx is not None:
+        if ctx.q != q or (use_mat and ctx.n != n) or (use_hom and ctx.k != k):
+            raise ValueError("context was built for different parameters")
+    modulus = q ** n if use_mat else 0
+    ident = psl.canon(psl.IDENT, modulus, q) if use_mat else None
+    letter_mats = ctx.letter_mats if use_mat else None
+    sd = ctx.sd if use_hom else None
+
+    counts = [0] * (m + 1)
+    counts[0] = 1
+    if m == 0:
+        return counts
+
+    # iterative DFS; per-branch state is pushed and popped exactly once
+    mat_stack = [ident]
+    coset_stack = [0]
+    vec: dict[int, int] = {}
+    word: list[int] = []
+    undo: list[tuple[int, int] | None] = []
+
+    def push(letter: int) -> None:
+        word.append(letter)
+        if use_mat:
+            mat_stack.append(psl.mat_mul(mat_stack[-1], letter_mats[letter],
+                                         modulus, q))
+        if use_hom:
+            c = coset_stack[-1]
+            hit = sd.sgen_of.get((c, letter))
+            if hit is None:
+                undo.append(None)
+            else:
+                idx, sign = hit
+                old = vec.get(idx, 0)
+                undo.append((idx, old))
+                nv = (old + sign) % q
+                if nv:
+                    vec[idx] = nv
+                else:
+                    vec.pop(idx, None)
+            coset_stack.append(sd.table[c][letter])
+
+    def pop() -> None:
+        word.pop()
+        if use_mat:
+            mat_stack.pop()
+        if use_hom:
+            coset_stack.pop()
+            u = undo.pop()
+            if u is not None:
+                idx, old = u
+                if old:
+                    vec[idx] = old
+                else:
+                    vec.pop(idx, None)
+
+    def trivial() -> bool:
+        if use_mat and mat_stack[-1] != ident:
+            return False
+        if use_hom and (coset_stack[-1] != 0 or vec):
+            return False
+        return True
+
+    def dfs(depth: int) -> None:
+        last = word[-1] if word else None
+        for letter in range(N_LETTERS):
+            if last is not None and letter == last ^ 1:
+                continue
+            push(letter)
+            if trivial():
+                counts[depth] += 1
+            if depth < m:
+                dfs(depth + 1)
+            pop()
+
+    dfs(1)
+    return counts
+
+
+def _assert_matches_brute(n, k, m_max, q, ctx):
+    # the brute counts at radius m_max hold those at every smaller radius
+    brute = trivial_word_counts_brute(n, k, m_max, q, ctx)
+    for m in range(m_max + 1):
+        assert trivial_word_counts(n, k, m, q, ctx) == brute[: m + 1], (n, k, m)
+
+
+@pytest.mark.parametrize("n, k, m_max, ctx_name", [
+    (0, None, 5, None), (1, None, 7, "ctx29_11"), (2, None, 5, "ctx29_21"),
+    (0, 1, 5, "ctx29_11"), (1, 1, 5, "ctx29_11")])
+def test_counts_match_brute_psl29(n, k, m_max, ctx_name, request):
+    ctx = request.getfixturevalue(ctx_name) if ctx_name else None
+    _assert_matches_brute(n, k, m_max, 29, ctx)
+
+
+@pytest.fixture(scope="module")
+def small_ctx():
+    # small quotients where short trivial words exist on every path, unlike
+    # at q = 29 where the girth is 9: PSL(2, 3) with its mod-3 homology, and
+    # Z_2 with its mod-2 homology
+    u = psl.canon((1, 1, 0, 1), 3, 3)
+    h = psl.canon((0, 1, -1, 0), 3, 3)
+    w = psl.canon((1, 0, 1, 1), 3, 3)
+    mats = [m for g in (u, h, w) for m in (g, psl.mat_inv(g, 3, 3))]
+    return {"psl23": FiberContext(q=3, n=1, k=1, letter_mats=mats,
+                                  sd=psl23_quotient()),
+            "z2": FiberContext(q=2, n=0, k=1, letter_mats=[],
+                               sd=z2_quotient())}
+
+
+@pytest.mark.parametrize("name, n, k", [
+    ("psl23", 1, None), ("psl23", 0, 1), ("psl23", 1, 1), ("z2", 0, 1)])
+def test_counts_match_brute_small_quotients(name, n, k, small_ctx):
+    ctx = small_ctx[name]
+    _assert_matches_brute(n, k, 6, ctx.q, ctx)
+    assert sum(trivial_word_counts(n, k, 6, ctx.q, ctx)[1:]) > 0
+
+
+def test_counts_beyond_brute_reach():
+    q, m_max = 29, 12
+    counts = trivial_word_counts(1, None, m_max, q)
+    assert counts[9] == 216
+    graph = lps_cayley(q).graph
+    trace = nb_trace(graph, m_max)
+    for m in range(m_max + 1):
+        same_parity = sum(counts[m % 2: m + 1: 2])
+        assert trace.cumulative[m] == graph.n * same_parity
+        if m % 2 == 0:
+            assert loop_count_quat(1, m, q) == 2 * same_parity
+
+
+def test_counts_radius_cap(monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("context built before the radius check")
+    monkeypatch.setattr(FiberContext, "build", no_context)
+    with pytest.raises(ResourceLimitError):
+        trivial_word_counts(1, None, 13, 29)
+
+
+@pytest.mark.parametrize("n, m", [(0, -1), (1, -2), (-1, 3)])
+def test_counts_reject_negative(n, m, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("context built before the argument check")
+    monkeypatch.setattr(FiberContext, "build", no_context)
+    with pytest.raises(ValueError):
+        trivial_word_counts(n, None, m, 29)

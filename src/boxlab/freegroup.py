@@ -95,18 +95,21 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
     letters[:, 1::2] = inverse_permutations(images)
 
     # BFS from the identity with letter priority; discovery order numbers cosets
-    order, parent, via = bfs_tree(letters, index[identity])
+    order, parent, via, _ = bfs_tree(np.arange(n + 1) * N_LETTERS,
+                                     letters.ravel(), index[identity])
     if len(order) < n:
         raise ValueError(
             f"generator images generate a proper subgroup of order "
             f"{len(order)} < {n}")
     coset_of = np.argsort(order)
     table = coset_of[letters[order]].tolist()
+    parent_coset = coset_of[parent[order]].tolist()
+    via_letter = via[order].tolist()
 
     transversal: list[tuple[int, ...]] = [()] * n
     tree = set()
     for c in range(1, n):
-        pc, pl = int(coset_of[parent[order[c]]]), via[order[c]]
+        pc, pl = parent_coset[c], via_letter[c]
         transversal[c] = transversal[pc] + (pl,)
         tree.add((pc, pl))
         tree.add((c, pl ^ 1))

@@ -4,7 +4,7 @@ homology covers built from a spanning tree.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
@@ -16,93 +16,86 @@ from .errors import ResourceLimitError
 
 @dataclass(eq=False)
 class Graph:
+    """A simple graph as int64 CSR arrays: the neighbours of vertex u are
+    indices[indptr[u]:indptr[u + 1]], in ascending order."""
+
     n: int
-    adj: tuple[tuple[int, ...], ...]
-    labels: tuple | None = None
+    indptr: np.ndarray
+    indices: np.ndarray
     vertex_transitive: bool = False
 
     @classmethod
     def from_edges(cls, n: int, edges, vertex_transitive: bool = False) -> "Graph":
-        seen = set()
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range in edge ({u}, {v})")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} rejected")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key} rejected")
-            seen.add(key)
-            lists[u].append(v)
-            lists[v].append(u)
-        return cls(n=n, adj=tuple(tuple(sorted(l)) for l in lists),
-                   vertex_transitive=vertex_transitive)
+        """The graph on range(n) with the (u, v) pairs as edges; ValueError
+        at the first pair out of range, a loop or a repeat of an earlier one."""
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
+        u, v = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2).T
+        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        repeat = np.ones(len(u), dtype=bool)
+        repeat[np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                         return_index=True)[1]] = False
+        bad = np.flatnonzero(out | (u == v) | repeat)
+        if len(bad):
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if out[bad[0]]:
+                raise ValueError(f"vertex out of range in edge ({a}, {b})")
+            if a == b:
+                raise ValueError(f"loop at vertex {a} rejected")
+            raise ValueError(f"duplicate edge {(min(a, b), max(a, b))} rejected")
+        src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.lexsort((dst, src))
+        return cls(n=n, indptr=np.searchsorted(src[order], np.arange(n + 1)),
+                   indices=dst[order], vertex_transitive=vertex_transitive)
+
+    @functools.cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbour tuple of each vertex, derived from the arrays on
+        first use, for searches that walk one vertex at a time."""
+        flat, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        src, dst = self.arcs()
+        return list(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 (src, dst) of every arc u -> v, in adjacency order."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64),
-                        [len(a) for a in self.adj])
-        dst = np.fromiter(itertools.chain.from_iterable(self.adj),
-                          dtype=np.int64, count=len(src))
-        return src, dst
+        return np.repeat(np.arange(self.n), self.degrees()), self.indices
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.indices) // 2
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     def is_regular(self) -> bool:
-        degs = self.degrees()
-        return len(set(degs)) <= 1
+        return len(np.unique(self.degrees())) <= 1
 
     @property
     def k(self) -> int:
-        degs = set(self.degrees())
+        degs = np.unique(self.degrees())
         if len(degs) != 1:
             raise ValueError("graph is not regular")
-        return degs.pop()
+        return int(degs[0])
 
-    def bfs_distances(self, source: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
+    def bfs_distances(self, source: int) -> np.ndarray:
+        """int64 BFS distance of every vertex from source, -1 if unreached."""
+        return bfs_tree(self.indptr, self.indices, source)[3]
 
     def is_connected(self) -> bool:
-        return self.n == 0 or all(d >= 0 for d in self.bfs_distances(0))
+        return self.n == 0 or bool((self.bfs_distances(0) >= 0).all())
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self.adj[u]:
-                        if color[v] < 0:
-                            color[v] = color[u] ^ 1
-                            nxt.append(v)
-                        elif color[v] == color[u]:
-                            return False
-                frontier = nxt
-        return True
+        """Whether every edge joins BFS depths of opposite parity, the depths
+        taken from the first vertex of each component."""
+        depth = np.full(self.n, -1)
+        while (unreached := np.flatnonzero(depth < 0)).size:
+            depth = np.maximum(depth, self.bfs_distances(int(unreached[0])))
+        odd = (depth & 1).astype(bool)
+        src, dst = self.arcs()
+        return not (odd[src] == odd[dst]).any()
 
     def adjacency_matrix(self):
         a = np.zeros((self.n, self.n))
@@ -112,9 +105,9 @@ class Graph:
     def sparse_adjacency(self):
         from scipy import sparse
 
-        src, dst = self.arcs()
-        return sparse.csr_matrix((np.ones(len(src)), (src, dst)),
-                                 shape=(self.n, self.n))
+        return sparse.csr_matrix(
+            (np.ones(len(self.indices)), self.indices, self.indptr),
+            shape=(self.n, self.n))
 
     def write_file(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -195,27 +188,39 @@ def inverse_permutations(columns: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def bfs_tree(table: np.ndarray, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Queue BFS from root along a right-multiplication table, columns in
-    order: the vertices in discovery order and, per vertex, the vertex and
-    column it was reached by (the root: itself and -1; unreached: -1, -1).
+def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
+             root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Queue BFS from root along CSR rows, each row's slots in order: the
+    vertices in discovery order and, per vertex, the vertex and row slot it
+    was reached by (the root: itself and -1; unreached: -1, -1) and its
+    depth (unreached: -1).  A generator table is the CSR whose rows all
+    hold |S| entries; there the slot is the column.
 
     Run a level at a time: a queue BFS discovers the next level in the
-    row-major order of table[level], first occurrence first."""
-    k = table.shape[1]
-    parent = np.full(len(table), -1, dtype=np.int64)
-    via = np.full(len(table), -1, dtype=np.int64)
+    row-major order of the current level's rows, first occurrence first."""
+    parent = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    via = np.full(len(parent), -1, dtype=np.int64)
+    depth = np.full(len(parent), -1, dtype=np.int64)
+    # per vertex, its first position in the level that reaches it
+    first_at = np.full(len(parent), len(indices), dtype=np.int64)
     parent[root] = root
+    depth[root] = 0
     levels = [np.array([root], dtype=np.int64)]
     while len(levels[-1]):
-        reached = table[levels[-1]].ravel()
+        start = indptr[levels[-1]]
+        sizes = indptr[levels[-1] + 1] - start
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        reached = indices[start[row] + slot]
         fresh = np.flatnonzero(parent[reached] < 0)
-        first = np.sort(fresh[np.unique(reached[fresh], return_index=True)[1]])
+        np.minimum.at(first_at, reached[fresh], fresh)
+        first = fresh[first_at[reached[fresh]] == fresh]
         found = reached[first]
-        parent[found] = levels[-1][first // k]
-        via[found] = first % k
+        parent[found] = levels[-1][row[first]]
+        via[found] = slot[first]
+        depth[found] = len(levels)
         levels.append(found)
-    return np.concatenate(levels).tolist(), parent.tolist(), via.tolist()
+    return np.concatenate(levels), parent, via, depth
 
 
 @dataclass(eq=False)
@@ -228,7 +233,6 @@ class CayleyGraph:
     elements: list
     identity_index: int
     index: dict = field(repr=False)
-    generator_indices: tuple[int, ...]
     table: np.ndarray = field(repr=False)
     parent: list[int] = field(repr=False)
     via: list[int] = field(repr=False)
@@ -283,20 +287,17 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     # an involution's column is its own inverse permutation
     table[:, [inverse_of[j] for j in filled]] = inverse_permutations(columns)
     ident = index[identity]
-    gen_idx = table[ident]
-    order, parent, via = bfs_tree(table, ident)
+    indptr = np.arange(len(elements) + 1) * len(gens)
+    order, parent, via, _ = bfs_tree(indptr, table.ravel(), ident)
     if len(order) < len(elements):
         raise ValueError(
             f"generators do not generate: reached component of size "
             f"{len(order)} of {len(elements)}")
-    # rows of one shared int object per vertex, not one per table entry
-    vertex = np.arange(len(elements)).astype(object)
-    adj = tuple(map(tuple, vertex[np.sort(table, axis=1)].tolist()))
-    graph = Graph(n=len(elements), adj=adj, labels=tuple(elements),
-                  vertex_transitive=True)
+    graph = Graph(n=len(elements), indptr=indptr,
+                  indices=np.sort(table, axis=1).ravel(), vertex_transitive=True)
     return CayleyGraph(graph=graph, elements=elements, identity_index=ident,
-                       index=index, generator_indices=tuple(gen_idx.tolist()),
-                       table=table, parent=parent, via=via)
+                       index=index, table=table, parent=parent.tolist(),
+                       via=via.tolist())
 
 
 # --- girth and Cheeger -----------------------------------------------------
@@ -349,11 +350,11 @@ def cheeger_exact(graph: Graph, exhaustive_limit: int = 24) -> CheegerResult:
     with exact=False.
     """
     n = graph.n
-    if not graph.is_connected():
-        comp = [v for v, d in enumerate(graph.bfs_distances(0)) if d >= 0]
-        small = comp if len(comp) <= n // 2 else \
-            [v for v in range(n) if v not in set(comp)]
-        return CheegerResult(value=0.0, witness=frozenset(small),
+    comp = graph.bfs_distances(0) >= 0 if n else np.ones(0, dtype=bool)
+    if not comp.all():
+        small = comp if comp.sum() <= n // 2 else ~comp
+        return CheegerResult(value=0.0,
+                             witness=frozenset(np.flatnonzero(small).tolist()),
                              lower=0.0, upper=0.0, exact=True)
     if n > exhaustive_limit:
         from .spectral import spectrum
@@ -397,28 +398,20 @@ class SpanningTreeData:
 def spanning_tree(graph: Graph) -> SpanningTreeData:
     """BFS spanning tree from vertex 0 over sorted adjacency; non-tree edges
     indexed in lexicographic order."""
-    if not graph.is_connected():
+    order, parent, _, _ = bfs_tree(graph.indptr, graph.indices, 0)
+    if len(order) < graph.n:
         raise ValueError("graph must be connected")
-    seen = [False] * graph.n
-    seen[0] = True
-    tree = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    tree.add((u, v) if u < v else (v, u))
-                    nxt.append(v)
-        frontier = nxt
-    non_tree = tuple(e for e in graph.edges() if e not in tree)
+    child = order[1:]
+    tree = frozenset(zip(np.minimum(child, parent[child]).tolist(),
+                         np.maximum(child, parent[child]).tolist()))
+    src, dst = graph.arcs()
+    keep = (src < dst) & (parent[dst] != src) & (parent[src] != dst)
+    non_tree = tuple(zip(src[keep].tolist(), dst[keep].tolist()))
     rank = graph.num_edges - graph.n + 1
     if len(non_tree) != rank:
         raise RuntimeError(
             f"{len(non_tree)} non-tree edges, expected rank {rank}")
-    return SpanningTreeData(tree_edges=frozenset(tree), non_tree_edges=non_tree,
-                            rank=rank)
+    return SpanningTreeData(tree_edges=tree, non_tree_edges=non_tree, rank=rank)
 
 
 @dataclass(eq=False)
@@ -468,19 +461,19 @@ def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
     if total > cap:
         raise ResourceLimitError(f"cover would have {total} > {cap} vertices")
     n = graph.n
-    weights = [m ** i for i in range(r)]
-    edges = []
-    for block in range(n_blocks):
-        base_off = block * n
-        for u, v in tree.tree_edges:
-            edges.append((base_off + u, base_off + v))
-        for j, (u, v) in enumerate(tree.non_tree_edges):
-            digit = (block // weights[j]) % m
-            target = block + ((digit + 1) % m - digit) * weights[j]
-            edges.append((base_off + u, target * n + v))
+    block = np.arange(n_blocks)[:, None]
+    weights = m ** np.arange(r)
+    digit = block // weights % m
+    target = block + ((digit + 1) % m - digit) * weights
+    tree_edges = np.array(sorted(tree.tree_edges), dtype=np.int64).reshape(-1, 2)
+    non_tree = np.array(tree.non_tree_edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([
+        (block[:, :, None] * n + tree_edges).reshape(-1, 2),
+        np.stack([block * n + non_tree[:, 0], target * n + non_tree[:, 1]],
+                 axis=-1).reshape(-1, 2)])
     cover = Graph.from_edges(total, edges,
                              vertex_transitive=graph.vertex_transitive)
-    projection = tuple(cv % n for cv in range(total))
+    projection = tuple(np.tile(np.arange(n), n_blocks).tolist())
     return CoverGraph(graph=cover, base=graph, projection=projection, m=m,
                       rank=r, tree=tree)
 
@@ -488,13 +481,16 @@ def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
 def verify_covering(cover: CoverGraph) -> bool:
     """Projection restricted to each neighborhood must biject onto the base
     neighborhood."""
-    base = cover.base
-    proj = cover.projection
-    for cv in range(cover.graph.n):
-        image = sorted(proj[w] for w in cover.graph.adj[cv])
-        if image != sorted(base.adj[proj[cv]]):
-            return False
-    return True
+    graph, base = cover.graph, cover.base
+    proj = np.asarray(cover.projection, dtype=np.int64)
+    if not np.array_equal(graph.degrees(), base.degrees()[proj]):
+        return False
+    src, dst = graph.arcs()
+    # arc i of cover vertex u is slot i - indptr[u] of the base row of proj[u]
+    wanted = base.indices[base.indptr[proj[src]] + np.arange(len(src))
+                          - graph.indptr[src]]
+    return np.array_equal(np.sort(src * base.n + proj[dst]),
+                          src * base.n + wanted)
 
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:

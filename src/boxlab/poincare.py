@@ -120,7 +120,7 @@ def spectral_maps(g: Graph, deco: LiftDecomposition, count: int = 2) -> list[Lip
 
 
 def distance_map(g: Graph, base: int = 0) -> LipschitzMap:
-    dist = np.array(g.bfs_distances(base), dtype=float).reshape(-1, 1)
+    dist = g.bfs_distances(base).astype(float).reshape(-1, 1)
     return LipschitzMap(graph=g, vectors=dist, name=f"distance-to-{base}")
 
 

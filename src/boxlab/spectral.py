@@ -58,7 +58,7 @@ def spectrum(graph: Graph) -> Spectrum:
     a = graph.adjacency_matrix()
     vals, vecs = eigh(a)
     residual = float(np.abs(a @ vecs - vecs * vals).max())
-    k = graph.k if graph.is_regular() else max(graph.degrees())
+    k = graph.k if graph.is_regular() else int(graph.degrees().max())
     if residual > 1e-9 * max(1, k):
         raise RuntimeError(f"dense solve residual {residual} too large")
     return Spectrum(values=tuple(float(v) for v in vals),
@@ -257,7 +257,7 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
     k = graph.k
     p = k - 1
     n = graph.n
-    nbrs = graph.arcs()[1].reshape(n, k)
+    nbrs = graph.indices.reshape(n, k)
     # |A T_{m-1}| < 2 k^m; Python ints take over where int64 could overflow
     dtype = np.int64 if k ** (M + 1) < 2 ** 62 else object
     sources = [0] if graph.vertex_transitive else range(n)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxlab import psl
 from boxlab.errors import ResourceLimitError
@@ -11,7 +14,7 @@ from boxlab.graphs import (Graph, cayley_graph, cheeger_exact, complete,
                            generator_table, girth,
                            homology_cover, inverse_permutations,
                            is_automorphism, petersen, read_graph_file,
-                           spanning_tree, verify_covering)
+                           spanning_tree, SpanningTreeData, verify_covering)
 from boxlab.quaternion import quaternion_generators
 from boxlab.suites import lps_cayley
 from boxlab.zmod import LpsParams
@@ -103,6 +106,16 @@ def test_cheeger_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     res = cheeger_exact(g)
     assert res.value == 0.0
+
+
+@pytest.mark.parametrize("edges,smaller", [
+    ([(0, 1), (1, 2), (3, 4)], {3, 4}),     # vertex 0 in the larger component
+    ([(0, 1), (2, 3), (3, 4)], {0, 1}),     # vertex 0 in the smaller one
+])
+def test_cheeger_disconnected_witness_is_smaller_component(edges, smaller):
+    res = cheeger_exact(Graph.from_edges(5, edges))
+    assert (res.value, res.lower, res.upper, res.exact) == (0.0, 0.0, 0.0, True)
+    assert res.witness == frozenset(smaller)
 
 
 def test_cheeger_bounds_for_large_graph():
@@ -236,8 +249,7 @@ def is_automorphism_edge_set(graph, perm):
 
 
 def flag_off(graph):
-    return Graph(n=graph.n, adj=graph.adj, labels=graph.labels,
-                 vertex_transitive=False)
+    return dataclasses.replace(graph, vertex_transitive=False)
 
 
 CORPUS = ("C6", "K4", "K33", "petersen", "psl23")
@@ -424,12 +436,248 @@ def bfs_tree_queue(table, root):
     return order, parent, via
 
 
+def bfs_tree_of_table(table, root):
+    """bfs_tree on the CSR whose rows are the table's rows, as lists."""
+    order, parent, via, _ = bfs_tree(np.arange(len(table) + 1) * table.shape[1],
+                                     table.ravel(), root)
+    return order.tolist(), parent.tolist(), via.tolist()
+
+
 @pytest.mark.parametrize("name", ["C6", "C64", "psl23", "lps29"])
 def test_bfs_tree_matches_queue_bfs(name):
     elements, mul, gens = cayley_input(name)
     table = generator_table(elements, mul, gens)[1]
     for root in (0, len(elements) // 2, len(elements) - 1):
-        assert bfs_tree(table, root) == bfs_tree_queue(table, root)
+        assert bfs_tree_of_table(table, root) == bfs_tree_queue(table, root)
     # a disconnected table: the even and the odd residues of C6 under +2
     table = generator_table(list(range(6)), lambda a, b: (a + b) % 6, [2, 4])[1]
-    assert bfs_tree(table, 1) == bfs_tree_queue(table, 1)
+    assert bfs_tree_of_table(table, 1) == bfs_tree_queue(table, 1)
+
+
+# --- the retired vertex-at-a-time loops, kept as oracles ----------------------
+
+
+def from_edges_brute(n, edges):
+    """The edge-set build: adjacency tuples, or the ValueError of the first
+    bad edge."""
+    seen = set()
+    lists = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} rejected")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key} rejected")
+        seen.add(key)
+        lists[u].append(v)
+        lists[v].append(u)
+    return tuple(tuple(sorted(l)) for l in lists)
+
+
+def bfs_distances_brute(graph, source):
+    dist = [-1] * graph.n
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in graph.adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def is_bipartite_brute(graph):
+    color = [-1] * graph.n
+    for start in range(graph.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in graph.adj[u]:
+                    if color[v] < 0:
+                        color[v] = color[u] ^ 1
+                        nxt.append(v)
+                    elif color[v] == color[u]:
+                        return False
+            frontier = nxt
+    return True
+
+
+def spanning_tree_brute(graph):
+    if not (graph.n == 0 or all(d >= 0 for d in bfs_distances_brute(graph, 0))):
+        raise ValueError("graph must be connected")
+    seen = [False] * graph.n
+    seen[0] = True
+    tree = set()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in graph.adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    tree.add((u, v) if u < v else (v, u))
+                    nxt.append(v)
+        frontier = nxt
+    non_tree = tuple((u, v) for u in range(graph.n) for v in graph.adj[u]
+                     if u < v and (u, v) not in tree)
+    return SpanningTreeData(tree_edges=frozenset(tree), non_tree_edges=non_tree,
+                            rank=graph.num_edges - graph.n + 1)
+
+
+def homology_cover_edges_brute(graph, m, tree):
+    """The cover's edges, one block of Z_m^r at a time."""
+    n, r = graph.n, tree.rank
+    weights = [m ** i for i in range(r)]
+    edges = []
+    for block in range(m ** r):
+        base_off = block * n
+        for u, v in tree.tree_edges:
+            edges.append((base_off + u, base_off + v))
+        for j, (u, v) in enumerate(tree.non_tree_edges):
+            digit = (block // weights[j]) % m
+            target = block + ((digit + 1) % m - digit) * weights[j]
+            edges.append((base_off + u, target * n + v))
+    return edges
+
+
+def verify_covering_brute(cover):
+    base = cover.base
+    proj = cover.projection
+    for cv in range(cover.graph.n):
+        image = sorted(proj[w] for w in cover.graph.adj[cv])
+        if image != sorted(base.adj[proj[cv]]):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_cover_matches_brute(cover):
+    base = cover.base
+    tree = spanning_tree_brute(base)
+    assert cover.tree == tree
+    edges = homology_cover_edges_brute(base, cover.m, tree)
+    assert cover.graph.adj == from_edges_brute(cover.graph.n, edges)
+    assert cover.projection == tuple(cv % base.n for cv in range(cover.graph.n))
+    assert verify_covering(cover) is verify_covering_brute(cover) is True
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+def test_cover_matches_block_loop(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    assert_cover_matches_brute(cover)
+    for g in (cover.base, cover.graph):
+        assert g.is_bipartite() == is_bipartite_brute(g)
+        assert g.bfs_distances(g.n - 1).tolist() == bfs_distances_brute(g, g.n - 1)
+
+
+# ragged degrees, several components, odd cycles away from vertex 0, and the
+# non-transitive base of test_cover_of_non_transitive_base_is_not_flagged
+RAGGED = {
+    "path": (5, [(3, 4), (0, 1), (2, 1), (2, 3)]),
+    "star": (5, [(2, 0), (1, 2), (2, 4), (3, 2)]),
+    "K23": (5, [(i, 2 + j) for i in range(2) for j in range(3)]),
+    "forest": (7, [(0, 1), (2, 1), (4, 3), (3, 5)]),
+    "isolated": (4, []),
+    "empty": (0, []),
+    "odd-component": (6, [(0, 1), (3, 2), (3, 4), (4, 2)]),
+    "non-transitive": (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", RAGGED)
+def test_array_graph_matches_vertex_loops(name):
+    n, edges = RAGGED[name]
+    g = Graph.from_edges(n, edges)
+    assert g.adj == from_edges_brute(n, edges)
+    assert g.is_bipartite() == is_bipartite_brute(g)
+    assert g.is_connected() == all(d >= 0 for d in
+                                   (bfs_distances_brute(g, 0) if n else []))
+    for source in range(n):
+        assert g.bfs_distances(source).tolist() == bfs_distances_brute(g, source)
+    if n == 0:      # there is no vertex 0 to grow a tree from
+        with pytest.raises(IndexError):
+            spanning_tree(g)
+        with pytest.raises(IndexError):
+            spanning_tree_brute(g)
+        return
+    assert outcome(spanning_tree, g) == outcome(spanning_tree_brute, g)
+    if g.is_connected():
+        for m in (2, 3):
+            assert_cover_matches_brute(homology_cover(g, m))
+
+
+@pytest.mark.parametrize("n,edges", [
+    (3, [(0, 0)]),
+    (3, [(0, 1), (1, 0)]),
+    (2, [(0, 5)]),
+    (4, [(0, 1), (2, -1)]),
+    (4, [(0, 1), (1, 2), (2, 1), (3, 3)]),         # a repeat before a loop
+    (4, [(0, 1), (3, 3), (1, 0)]),                 # a loop before a repeat
+    (4, [(0, 1), (1, 2), (0, 9), (1, 0)]),         # out of range first
+    (3, [(0, 1), (5, 5)]),                         # a loop out of range
+    (3, [(0, 5), (1, 2)]),                         # 0 * 3 + 5 is the key of (1, 2)
+    (3, [(1, 2), (0, 5)]),
+    (3, [(0, 1), (0, 1), (0, 1)]),
+])
+def test_from_edges_errors_match_edge_set_loop(n, edges):
+    expected = outcome(from_edges_brute, n, edges)
+    assert expected[0] is ValueError
+    assert outcome(Graph.from_edges, n, edges) == expected
+
+
+def test_negative_vertex_count_rejected(tmp_path):
+    with pytest.raises(ValueError, match="negative"):
+        Graph.from_edges(-3, [])
+    path = tmp_path / "negative.txt"
+    path.write_text("-3 0\n")
+    with pytest.raises(ValueError, match="negative"):
+        read_graph_file(str(path))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree on 2..7 vertices plus up to three more edges."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_verify_covering_matches_brute_on_random_graphs():
+    swapped_results = []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(base=connected_graphs(), m=st.sampled_from([2, 3]), data=st.data())
+    def check(base, m, data):
+        cover = homology_cover(base, m)
+        assert verify_covering(cover) is verify_covering_brute(cover) is True
+        total = cover.graph.n
+        i = data.draw(st.integers(0, total - 1))
+        j = data.draw(st.integers(0, total - 1).filter(
+            lambda j: cover.projection[j] != cover.projection[i]))
+        proj = list(cover.projection)
+        proj[i], proj[j] = proj[j], proj[i]
+        swapped = dataclasses.replace(cover, projection=tuple(proj))
+        swapped_results.append(verify_covering(swapped))
+        assert swapped_results[-1] is verify_covering_brute(swapped)
+
+    check()
+    assert False in swapped_results

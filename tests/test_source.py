@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 import pathlib
 
 import boxlab
@@ -14,3 +15,22 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_traced_benchmark_names_resolve():
+    # a traced benchmark run wraps these by name; a renamed function would
+    # only be listed as missing and its per-layer metric would vanish
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    wrapped = next(ast.literal_eval(node.value)
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "WRAPPED")
+    names = [f"{module}.{attr}" for module, attrs in wrapped.items()
+             for attr in attrs]
+    assert "graphs.cayley_graph" in names
+    for name in names:
+        module, _, attr = name.partition(".")
+        obj = importlib.import_module(f"boxlab.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"boxlab.{name} is not a callable"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import psl
 from .errors import ResourceLimitError
-from .graphs import bfs_tree, generator_table, inverse_permutations
+from .graphs import bfs_tree, filled_table, inverse_permutations
 from .quaternion import quaternion_generators
 from .zmod import LpsParams
 
@@ -83,10 +83,11 @@ class SchreierData:
 def schreier_build(elements: Sequence, mul: Callable, identity,
                    gen_images: Sequence) -> SchreierData:
     """Build the coset table for the quotient hom sending the three positive
-    letters to gen_images.  Raises if the images do not generate."""
+    letters to gen_images; the columns come from ``filled_table``.  Raises
+    if the images do not generate."""
     if len(gen_images) != 3:
         raise ValueError("need images for exactly three generators")
-    index, images = generator_table(elements, mul, gen_images)
+    index, images = filled_table(elements, mul, gen_images)
     n = len(index)
     # letter 2j is gen_images[j]; right multiplication by its inverse,
     # letter 2j + 1, is the inverse permutation of that column

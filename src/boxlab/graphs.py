@@ -88,11 +88,19 @@ class Graph:
         return self.n == 0 or bool((self.bfs_distances(0) >= 0).all())
 
     def is_bipartite(self) -> bool:
-        """Whether every edge joins BFS depths of opposite parity, the depths
-        taken from the first vertex of each component."""
-        depth = np.full(self.n, -1)
-        while (unreached := np.flatnonzero(depth < 0)).size:
-            depth = np.maximum(depth, self.bfs_distances(int(unreached[0])))
+        """Whether every edge joins BFS depths of opposite parity.  The depths
+        come from one BFS from vertex 0 or, when that misses vertices, from
+        one BFS seeded with the first vertex of every component."""
+        if self.n == 0:
+            return True
+        depth = self.bfs_distances(0)
+        if (depth < 0).any():
+            from scipy.sparse.csgraph import connected_components
+
+            labels = connected_components(self.sparse_adjacency(),
+                                          directed=False)[1]
+            roots = np.unique(labels, return_index=True)[1]
+            depth = bfs_tree(self.indptr, self.indices, roots)[3]
         odd = (depth & 1).astype(bool)
         src, dst = self.arcs()
         return not (odd[src] == odd[dst]).any()
@@ -168,14 +176,44 @@ def generator_table(elements: Sequence[Hashable], mul: Callable,
                     gens: Sequence[Hashable]) -> tuple[dict, np.ndarray]:
     """Element index and int64 table[i, j] = index of mul(elements[i], gens[j]),
     one mul call per entry; ValueError on duplicate or unclosed elements."""
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("duplicate elements")
+    index = _element_index(elements)
     flat = np.fromiter((index.get(mul(x, s), -1) for x in elements for s in gens),
                        dtype=np.int64, count=len(elements) * len(gens))
     if (flat < 0).any():
         raise ValueError("elements not closed under the generators")
     return index, flat.reshape(len(elements), len(gens))
+
+
+def _element_index(elements: Sequence[Hashable]) -> dict:
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
+    return index
+
+
+SPOT_STRIDE = 64    # rows between the mul checks of a right_table column
+
+
+def filled_table(elements: Sequence[Hashable], mul: Callable,
+                 gens: Sequence[Hashable]) -> tuple[dict, np.ndarray]:
+    """generator_table's (index, table), taken from elements.right_table(gens)
+    when the sequence has one (``psl.Elements``), else from generator_table.
+
+    A right_table column is checked against mul at every SPOT_STRIDE-th row,
+    counted from the last: ValueError on a mismatch, so the mul passed is
+    never ignored.  Counting from the end keeps a one-row check off a
+    closure's first element, the identity, which no mul can get wrong."""
+    right_table = getattr(elements, "right_table", None)
+    if right_table is None:
+        return generator_table(elements, mul, gens)
+    index = _element_index(elements)
+    table = right_table(gens)
+    for i in range(len(elements) - 1, -1, -SPOT_STRIDE):
+        for s, j in zip(gens, table[i].tolist()):
+            if mul(elements[i], s) != elements[j]:
+                raise ValueError(f"mul disagrees with the elements' own "
+                                 f"product at {elements[i]!r} * {s!r}")
+    return index, table
 
 
 def inverse_permutations(columns: np.ndarray) -> np.ndarray:
@@ -189,12 +227,13 @@ def inverse_permutations(columns: np.ndarray) -> np.ndarray:
 
 
 def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
-             root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+             root) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Queue BFS from root along CSR rows, each row's slots in order: the
     vertices in discovery order and, per vertex, the vertex and row slot it
-    was reached by (the root: itself and -1; unreached: -1, -1) and its
-    depth (unreached: -1).  A generator table is the CSR whose rows all
-    hold |S| entries; there the slot is the column.
+    was reached by (a root: itself and -1; unreached: -1, -1) and its
+    depth (unreached: -1).  root is a vertex, or an array of vertices that
+    all start the queue at depth 0.  A generator table is the CSR whose
+    rows all hold |S| entries; there the slot is the column.
 
     Run a level at a time: a queue BFS discovers the next level in the
     row-major order of the current level's rows, first occurrence first."""
@@ -203,9 +242,10 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
     depth = np.full(len(parent), -1, dtype=np.int64)
     # per vertex, its first position in the level that reaches it
     first_at = np.full(len(parent), len(indices), dtype=np.int64)
-    parent[root] = root
-    depth[root] = 0
-    levels = [np.array([root], dtype=np.int64)]
+    roots = np.atleast_1d(np.asarray(root, dtype=np.int64))
+    parent[roots] = roots
+    depth[roots] = 0
+    levels = [roots]
     while len(levels[-1]):
         start = indptr[levels[-1]]
         sizes = indptr[levels[-1] + 1] - start
@@ -257,11 +297,13 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     raise.
 
     The |S|^2 products of generators pair each generator with its inverse.
-    One table column per pair is filled with mul, one call per entry; the
-    partner column is its inverse permutation, since x * s^-1 = y exactly
-    when y * s = x.
+    One table column per pair is filled by ``filled_table``: from the
+    elements' own rows when they carry them (``psl.Elements``), else with
+    mul, one call per entry.  The partner column is its inverse
+    permutation, since x * s^-1 = y exactly when y * s = x.
     """
-    elements = list(elements)
+    if not hasattr(elements, "right_table"):
+        elements = list(elements)
     probe = elements[0]
     identity = next((e for e in elements
                      if mul(e, probe) == probe and mul(probe, e) == probe), None)
@@ -281,7 +323,7 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     if any(inverse_of[i] != j for j, i in enumerate(inverse_of)):
         raise ValueError("generator inverses do not pair up")
     filled = [j for j, i in enumerate(inverse_of) if j <= i]
-    index, columns = generator_table(elements, mul, [gens[j] for j in filled])
+    index, columns = filled_table(elements, mul, [gens[j] for j in filled])
     table = np.empty((len(elements), len(gens)), dtype=np.int64)
     table[:, filled] = columns
     # an involution's column is its own inverse permutation

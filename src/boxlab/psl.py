@@ -8,6 +8,9 @@ PSL elements whenever the determinant is a square.
 
 ``canon_rows``/``mul_rows`` are the same arithmetic on (N, 4) int64 arrays,
 one matrix per row; ``canon``/``mat_mul`` are their oracle.
+``subgroup_closure`` and ``psl_elements`` return ``Elements``: the tuples as
+a list that also carries their row keys, from which ``right_table`` fills
+Cayley table columns.
 """
 
 from __future__ import annotations
@@ -153,8 +156,48 @@ def psl_order(q: int, n: int) -> int:
     return q ** (3 * n - 2) * (q * q - 1) // 2
 
 
-def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> list[Mat]:
-    """Every element of PSL(2, Z/q^n) as a canonical tuple.
+class Elements(list):
+    """Canonical tuples, as a list, that also carry their int64 row keys
+    (``keys[i]`` is the key of ``self[i]``) for the batch layer.
+
+    ``right_table`` fills Cayley table columns from the keys with
+    ``mul_rows`` and a sorted-key search, without a tuple product.  Slices,
+    copies and ``list(...)`` are plain lists and carry no keys.
+    """
+
+    def __init__(self, keys: np.ndarray, modulus: int, q: int):
+        entries = np.unravel_index(keys, (modulus,) * 4)
+        super().__init__(zip(*(e.tolist() for e in entries)))
+        self.keys = keys
+        self.modulus = modulus
+        self.q = q
+
+    def right_table(self, gens) -> np.ndarray:
+        """int64 table[i, j] = index of self[i] * gens[j], one generator
+        column at a time; ValueError if a product is not in the sequence.
+
+        Right multiplication is injective, so the products' keys, sorted,
+        equal the elements' keys, sorted, exactly when the sequence is
+        closed; sorting both matches each product to its element."""
+        shape = (self.modulus,) * 4
+        rows = np.stack(np.unravel_index(self.keys, shape), axis=1)
+        order = np.argsort(self.keys)
+        ordered = self.keys[order]
+        gens = np.asarray(gens, dtype=np.int64).reshape(-1, 4)
+        table = np.empty((len(rows), len(gens)), dtype=np.int64)
+        for j, g in enumerate(gens):
+            keys = _row_keys(mul_rows(rows, g, self.modulus, self.q),
+                             self.modulus)
+            by_key = np.argsort(keys)
+            if not np.array_equal(keys[by_key], ordered):
+                raise ValueError("elements not closed under the generators")
+            table[by_key, j] = order
+        return table
+
+
+def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> Elements:
+    """Every element of PSL(2, Z/q^n) as a canonical tuple, in ascending
+    order.
 
     Enumerates SL matrices directly: with a a unit, d is determined by
     b, c; otherwise b must be a unit and c is determined by d.
@@ -163,29 +206,24 @@ def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> list[Mat]:
     expected = psl_order(q, n)
     if expected > cap:
         raise ResourceLimitError(f"PSL(2, {q}^{n}) has {expected} > cap elements")
-    seen: set[Mat] = set()
-    for a in range(modulus):
-        if a % q:
-            ainv = pow(a, -1, modulus)
-            for b in range(modulus):
-                for c in range(modulus):
-                    d = (1 + b * c) * ainv % modulus
-                    seen.add(canon((a, b, c, d), modulus, q))
-        else:
-            for b in range(modulus):
-                if b % q == 0:
-                    continue
-                binv = pow(b, -1, modulus)
-                for d in range(modulus):
-                    c = (a * d - 1) * binv % modulus
-                    seen.add(canon((a, b, c, d), modulus, q))
-    if len(seen) != expected:
-        raise RuntimeError(f"PSL(2, {q}^{n}): {len(seen)} != {expected} elements")
-    return sorted(seen)
+    _check_key_bound(modulus)
+    inv = _unit_inverses(modulus, q)
+    r = np.arange(modulus, dtype=np.int64)
+    units, others = r[r % q != 0], r[r % q == 0]
+    a, b, c = (x.ravel() for x in np.meshgrid(units, r, r, indexing="ij"))
+    d = (1 + b * c) % modulus * inv[a] % modulus
+    a2, b2, d2 = (x.ravel() for x in np.meshgrid(others, units, r, indexing="ij"))
+    c2 = (a2 * d2 - 1) % modulus * inv[b2] % modulus
+    rows = np.concatenate([np.stack([a, b, c, d], axis=1),
+                           np.stack([a2, b2, c2, d2], axis=1)])
+    keys = np.unique(_row_keys(_canon_reduced(rows, modulus, q), modulus))
+    if len(keys) != expected:
+        raise RuntimeError(f"PSL(2, {q}^{n}): {len(keys)} != {expected} elements")
+    return Elements(keys, modulus, q)
 
 
 def subgroup_closure(gens: list[Mat], modulus: int, q: int,
-                     cap: int = 10 ** 7) -> list[Mat]:
+                     cap: int = 10 ** 7) -> Elements:
     """Breadth-first closure under right multiplication; insertion-ordered.
 
     Each BFS level is the frontier times the generators in row-major order,
@@ -214,8 +252,7 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int,
             raise ResourceLimitError(f"closure exceeded cap {cap}")
         levels.append(new)
         frontier = np.stack(np.unravel_index(new, shape), axis=1)
-    entries = np.unravel_index(np.concatenate(levels), shape)
-    return list(zip(*(e.tolist() for e in entries)))
+    return Elements(np.concatenate(levels), modulus, q)
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,24 @@ def test_schreier_makes_one_mul_call_per_element_and_image():
         calls.append(1)
         return mul(a, b)
 
-    schreier_build(elements, counting_mul, identity, images)
+    # a plain list carries no rows, so the table is filled with mul
+    schreier_build(list(elements), counting_mul, identity, images)
     assert len(calls) == 3 * len(elements)
+
+
+def test_schreier_on_psl_rows_calls_mul_for_the_spot_checks_only():
+    elements, mul, identity, images = psl23_quotient_input()
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    sd = schreier_build(elements, counting_mul, identity, images)
+    # one checked row (the last) of 12, for each of the three images
+    assert len(calls) == 3
+    assert sd.table == schreier_build(list(elements), mul, identity,
+                                      images).table
 
 
 def test_schreier_rejects_non_generating():

@@ -400,10 +400,87 @@ def test_cayley_exact_mul_calls_on_lps29():
         calls.append(1)
         return mul(a, b)
 
-    cayley_graph(elements, counting_mul, gens)
+    # a plain list carries no rows, so the table is filled with mul
+    cayley_graph(list(elements), counting_mul, gens)
     # n * |S| / 2 table entries (three inverse pairs), |S|^2 generator
     # products, and 2 identity probes: elements[0] is the identity
     assert len(calls) == len(elements) * len(gens) // 2 + len(gens) ** 2 + 2
+
+
+def test_cayley_exact_mul_calls_on_lps29_closure():
+    elements, mul, gens = cayley_input("lps29")
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    cay = cayley_graph(elements, counting_mul, gens)
+    # |S|^2 generator products, 2 identity probes, and the spot checks:
+    # every 64th row from the last, in each of the three filled columns
+    assert len(calls) == len(gens) ** 2 + 2 + 3 * math.ceil(len(elements) / 64)
+    assert (cay.table == lps_cayley(29).table).all()
+
+
+def random_symmetric_closure(q, picks):
+    """The closure in PSL(2, q) of the chosen elements and their inverses,
+    with that generating set, the identity dropped."""
+    elements = psl.psl_elements(q, 1)
+    ident = psl.canon(psl.IDENT, q, q)
+    gens = {elements[i] for i in picks} | \
+        {psl.mat_inv(elements[i], q, q) for i in picks}
+    gens = sorted(gens - {ident})
+    return psl.subgroup_closure(gens, q, q), gens
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([5, 7, 11, 13]))
+def test_closure_rows_fill_the_mul_table(data, q):
+    picks = data.draw(st.lists(st.integers(0, psl.psl_order(q, 1) - 1),
+                               min_size=1, max_size=3))
+    closure, gens = random_symmetric_closure(q, picks)
+    if not gens:        # only the identity was picked
+        return
+    mul = lambda a, b: psl.mat_mul(a, b, q, q)
+    assert (cayley_graph(closure, mul, gens).table
+            == generator_table(list(closure), mul, gens)[1]).all()
+
+
+@pytest.mark.parametrize("q", [29, 41])
+def test_closure_rows_fill_the_mul_table_lps(q):
+    params = LpsParams.build(q, 1)
+    mats = psl.lps_letter_images(quaternion_generators(params.p), q, 1,
+                                 params.epsilon(1))
+    closure = psl.subgroup_closure(mats, q, q)
+    mul = lambda a, b: psl.mat_mul(a, b, q, q)
+    assert (cayley_graph(closure, mul, mats).table
+            == generator_table(list(closure), mul, mats)[1]).all()
+
+
+def test_closure_rows_reject_a_mul_that_disagrees():
+    elements, mul, gens = cayley_input("lps29")
+    with pytest.raises(ValueError, match="mul disagrees"):
+        cayley_graph(elements, lambda a, b: mul(b, a), gens)
+    # PSL(2, 5) has 60 elements, so one row is checked: the last
+    closure, gens5 = random_symmetric_closure(5, [7, 31])
+    assert len(closure) == 60
+    with pytest.raises(ValueError, match="mul disagrees"):
+        cayley_graph(closure, lambda a, b: psl.mat_mul(b, a, 5, 5), gens5)
+    # a mul wrong at the last element alone, which the stride checks
+    last = elements[-1]
+    with pytest.raises(ValueError, match="mul disagrees"):
+        cayley_graph(elements, lambda a, b: mul(b, a) if a == last
+                     else mul(a, b), gens)
+
+
+def test_closure_rows_reject_generators_that_do_not_close():
+    _, mul, gens = cayley_input("lps29")
+    u, u_inv = gens[:2]
+    cyclic = psl.subgroup_closure([u, u_inv], 29, 29)
+    with pytest.raises(ValueError, match="not closed"):
+        cayley_graph(cyclic, mul, gens)
+    with pytest.raises(ValueError, match="not closed"):
+        cyclic.right_table(gens)
 
 
 def test_cayley_rejects_generator_without_inverse():
@@ -598,6 +675,10 @@ RAGGED = {
     "empty": (0, []),
     "odd-component": (6, [(0, 1), (3, 2), (3, 4), (4, 2)]),
     "non-transitive": (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    "matching-2000": (2000, [(2 * i, 2 * i + 1) for i in range(1000)]),
+    # disjoint 6-, 5-, 4- and 3-cycles; vertex 0 is on the 6-cycle
+    "cycles": (18, [(a + i, a + (i + 1) % m) for a, m in
+                    ((0, 6), (6, 5), (11, 4), (15, 3)) for i in range(m)]),
 }
 
 

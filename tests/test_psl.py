@@ -397,3 +397,55 @@ def test_batch_layer_key_bound():
     with pytest.raises(ResourceLimitError):
         psl.subgroup_closure([psl.IDENT], modulus, modulus)
     assert psl.KEY_MODULUS_LIMIT ** 4 < 2 ** 63 <= modulus ** 4
+
+
+# --- element sequences that carry their rows ----------------------------------
+
+
+def psl_elements_brute(q, n):
+    """The retired tuple loop over SL matrices, kept as an oracle."""
+    modulus = q ** n
+    seen = set()
+    for a in range(modulus):
+        if a % q:
+            ainv = pow(a, -1, modulus)
+            for b in range(modulus):
+                for c in range(modulus):
+                    d = (1 + b * c) * ainv % modulus
+                    seen.add(psl.canon((a, b, c, d), modulus, q))
+        else:
+            for b in range(modulus):
+                if b % q == 0:
+                    continue
+                binv = pow(b, -1, modulus)
+                for d in range(modulus):
+                    c = (a * d - 1) * binv % modulus
+                    seen.add(psl.canon((a, b, c, d), modulus, q))
+    return sorted(seen)
+
+
+def row_keys_of(elements, modulus):
+    return [int(np.ravel_multi_index(e, (modulus,) * 4)) for e in elements]
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_psl_elements_matches_tuple_loop(q, n):
+    elements = psl.psl_elements(q, n)
+    assert elements == psl_elements_brute(q, n)
+    assert elements.keys.tolist() == row_keys_of(elements, q ** n)
+
+
+def test_psl_elements_cap():
+    with pytest.raises(ResourceLimitError):
+        psl.psl_elements(29, 1, cap=12179)
+
+
+@pytest.mark.parametrize("name", ["lps29", "psl23", "identity", "mgen-3-3",
+                                  "kernel-3-4-2"])
+def test_closure_carries_the_keys_of_its_tuples(name):
+    gens, modulus, q = closure_input(name)
+    closure = psl.subgroup_closure(gens, modulus, q)
+    assert closure.keys.tolist() == row_keys_of(closure, modulus)
+    plain = list(closure)
+    assert plain == closure and type(plain) is list
+    assert not hasattr(closure[:], "right_table")

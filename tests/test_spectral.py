@@ -6,7 +6,9 @@ import pytest
 
 from boxlab.graphs import (complete, complete_bipartite, cycle, girth,
                            homology_cover, petersen)
-from boxlab.spectral import (eigenvalue_threshold, extreme_spectrum,
+from boxlab.suites import lps_cayley
+from boxlab.spectral import (POLISHED_RESIDUAL, eigenvalue_threshold,
+                             extreme_spectrum,
                              lift_decomposition, nb_closed_walks_brute,
                              nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
@@ -72,12 +74,33 @@ def test_ramanujan_disconnected_rejected():
 
 
 def test_extreme_mode_matches_dense():
-    g = petersen()
-    ext = extreme_spectrum(g)
-    dense = sorted(spectrum(g).values)
-    assert abs(ext.second_largest - dense[-2]) < 1e-7
-    assert abs(ext.smallest - dense[0]) < 1e-7
-    assert ext.residual_second <= 1e-7 * g.k
+    # on K_n every nontrivial eigenvalue is -1, below the constant's 0
+    for g in (petersen(), complete(5), complete(8), cycle(5),
+              complete_bipartite(4, 4)):
+        ext = extreme_spectrum(g)
+        dense = sorted(spectrum(g).values)
+        assert abs(ext.second_largest - dense[-2]) < 1e-7
+        assert abs(ext.smallest - dense[0]) < 1e-7
+        assert ext.residual_second <= 1e-7 * g.k
+        assert ext.residual_smallest <= 1e-7 * g.k
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_extreme_spectrum_residuals_at_rounding_level(seed):
+    # at q=29 a single two-ended run stops near 2e-10 for these seeds
+    g = lps_cayley(29).graph
+    ext = extreme_spectrum(g, seed=seed)
+    assert max(ext.residual_second, ext.residual_smallest) <= \
+        POLISHED_RESIDUAL * g.k
+    assert ext.second_largest == pytest.approx(4.442016442593806, abs=1e-12)
+    assert ext.smallest == pytest.approx(-4.410655995562926, abs=1e-12)
+
+
+def test_extreme_spectrum_too_small_points_to_dense():
+    assert extreme_spectrum(cycle(4)).second_largest == pytest.approx(0.0)
+    for g in (complete(3), complete(2)):
+        with pytest.raises(ValueError, match=r"spectrum\(\)"):
+            extreme_spectrum(g)
 
 
 def test_lift_decomposition_c8_c4():

@@ -87,8 +87,8 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
     if the images do not generate."""
     if len(gen_images) != 3:
         raise ValueError("need images for exactly three generators")
-    index, images = filled_table(elements, mul, gen_images)
-    n = len(index)
+    ident, images = filled_table(elements, mul, gen_images, identity)
+    n = len(elements)
     # letter 2j is gen_images[j]; right multiplication by its inverse,
     # letter 2j + 1, is the inverse permutation of that column
     letters = np.empty((n, N_LETTERS), dtype=np.int64)
@@ -97,7 +97,7 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
 
     # BFS from the identity with letter priority; discovery order numbers cosets
     order, parent, via, _ = bfs_tree(np.arange(n + 1) * N_LETTERS,
-                                     letters.ravel(), index[identity])
+                                     letters.ravel(), ident)
     if len(order) < n:
         raise ValueError(
             f"generator images generate a proper subgroup of order "

@@ -176,7 +176,9 @@ def generator_table(elements: Sequence[Hashable], mul: Callable,
                     gens: Sequence[Hashable]) -> tuple[dict, np.ndarray]:
     """Element index and int64 table[i, j] = index of mul(elements[i], gens[j]),
     one mul call per entry; ValueError on duplicate or unclosed elements."""
-    index = _element_index(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
     flat = np.fromiter((index.get(mul(x, s), -1) for x in elements for s in gens),
                        dtype=np.int64, count=len(elements) * len(gens))
     if (flat < 0).any():
@@ -184,20 +186,16 @@ def generator_table(elements: Sequence[Hashable], mul: Callable,
     return index, flat.reshape(len(elements), len(gens))
 
 
-def _element_index(elements: Sequence[Hashable]) -> dict:
-    index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        raise ValueError("duplicate elements")
-    return index
-
-
 SPOT_STRIDE = 64    # rows between the mul checks of a right_table column
 
 
 def filled_table(elements: Sequence[Hashable], mul: Callable,
-                 gens: Sequence[Hashable]) -> tuple[dict, np.ndarray]:
-    """generator_table's (index, table), taken from elements.right_table(gens)
-    when the sequence has one (``psl.Elements``), else from generator_table.
+                 gens: Sequence[Hashable], identity) -> tuple[int, np.ndarray]:
+    """The index of identity among the elements and generator_table's
+    table, taken from elements.right_table(gens) when the sequence has one
+    (``psl.Elements``), else from generator_table.  On the row path the
+    duplicate check and the identity's index come from the row keys, and no
+    element index is built.
 
     A right_table column is checked against mul at every SPOT_STRIDE-th row,
     counted from the last: ValueError on a mismatch, so the mul passed is
@@ -205,15 +203,15 @@ def filled_table(elements: Sequence[Hashable], mul: Callable,
     closure's first element, the identity, which no mul can get wrong."""
     right_table = getattr(elements, "right_table", None)
     if right_table is None:
-        return generator_table(elements, mul, gens)
-    index = _element_index(elements)
+        index, table = generator_table(elements, mul, gens)
+        return index[identity], table
     table = right_table(gens)
     for i in range(len(elements) - 1, -1, -SPOT_STRIDE):
         for s, j in zip(gens, table[i].tolist()):
             if mul(elements[i], s) != elements[j]:
                 raise ValueError(f"mul disagrees with the elements' own "
                                  f"product at {elements[i]!r} * {s!r}")
-    return index, table
+    return elements.position(identity), table
 
 
 def inverse_permutations(columns: np.ndarray) -> np.ndarray:
@@ -272,10 +270,15 @@ class CayleyGraph:
     graph: Graph
     elements: list
     identity_index: int
-    index: dict = field(repr=False)
     table: np.ndarray = field(repr=False)
     parent: list[int] = field(repr=False)
     via: list[int] = field(repr=False)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """element -> index, built on first use; the build has already
+        rejected duplicate elements."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     def right_translation(self, z: int) -> np.ndarray:
         """The permutation x -> x * z of the element indices, walked along
@@ -323,12 +326,12 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     if any(inverse_of[i] != j for j, i in enumerate(inverse_of)):
         raise ValueError("generator inverses do not pair up")
     filled = [j for j, i in enumerate(inverse_of) if j <= i]
-    index, columns = filled_table(elements, mul, [gens[j] for j in filled])
+    ident, columns = filled_table(elements, mul, [gens[j] for j in filled],
+                                  identity)
     table = np.empty((len(elements), len(gens)), dtype=np.int64)
     table[:, filled] = columns
     # an involution's column is its own inverse permutation
     table[:, [inverse_of[j] for j in filled]] = inverse_permutations(columns)
-    ident = index[identity]
     indptr = np.arange(len(elements) + 1) * len(gens)
     order, parent, via, _ = bfs_tree(indptr, table.ravel(), ident)
     if len(order) < len(elements):
@@ -338,8 +341,7 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     graph = Graph(n=len(elements), indptr=indptr,
                   indices=np.sort(table, axis=1).ravel(), vertex_transitive=True)
     return CayleyGraph(graph=graph, elements=elements, identity_index=ident,
-                       index=index, table=table, parent=parent.tolist(),
-                       via=via.tolist())
+                       table=table, parent=parent.tolist(), via=via.tolist())
 
 
 # --- girth and Cheeger -----------------------------------------------------

@@ -172,9 +172,19 @@ class Elements(list):
         self.modulus = modulus
         self.q = q
 
+    def position(self, x) -> int:
+        """The index of the canonical tuple x, found by its row key;
+        ValueError if x is not in the sequence."""
+        hits = np.flatnonzero(self.keys == _row_keys(np.array([x]),
+                                                     self.modulus)[0])
+        if not len(hits):
+            raise ValueError(f"{x!r} is not in the sequence")
+        return int(hits[0])
+
     def right_table(self, gens) -> np.ndarray:
         """int64 table[i, j] = index of self[i] * gens[j], one generator
-        column at a time; ValueError if a product is not in the sequence.
+        column at a time; ValueError if an element repeats (equal adjacent
+        keys, once sorted) or a product is not in the sequence.
 
         Right multiplication is injective, so the products' keys, sorted,
         equal the elements' keys, sorted, exactly when the sequence is
@@ -183,6 +193,8 @@ class Elements(list):
         rows = np.stack(np.unravel_index(self.keys, shape), axis=1)
         order = np.argsort(self.keys)
         ordered = self.keys[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("duplicate elements")
         gens = np.asarray(gens, dtype=np.int64).reshape(-1, 4)
         table = np.empty((len(rows), len(gens)), dtype=np.int64)
         for j, g in enumerate(gens):

@@ -13,9 +13,15 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .graphs import Graph
+from .errors import ResourceLimitError
+from .graphs import Graph, bfs_tree
 
 DENSE_LIMIT = 4000
+# relative eigenvalue gaps of T, per unit of its scale, below which
+# lift_decomposition keeps sheet blocks together
+BLOCK_GAP = 1e-4
+# relative vectors per sparse product in lift_decomposition's residual check
+RESIDUAL_CHUNK = 512
 # per unit of degree; converged extreme_spectrum residuals measured 1.1e-14
 # or less on LPS graphs up to q=61
 POLISHED_RESIDUAL = 1e-12
@@ -198,74 +204,193 @@ class LiftDecomposition:
 def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     """Split the Laplacian spectrum of g into the part lifted from h
     (functions constant on fibers) and the relative part (functions with zero
-    fiber sums).  The lifted part must match the spectrum of h exactly."""
+    fiber sums).  The lifted part is the spectrum of h; ResourceLimitError
+    above DENSE_LIMIT vertices, since the relative vectors are a dense
+    |G| x (|G| - |H|) array.
+
+    No |G|-square matrix is formed.  Lifting a BFS spanning forest of h
+    labels each vertex of g by (base vertex, sheet), and each arc e of h
+    then moves the f sheets by a permutation P_e, so that
+    L_g = k - sum_e E_bb' (x) P_e.  The permutations that commute with all
+    the others span an algebra whose generic symmetric element T commutes
+    with every P_e, so each eigenspace V of T on 1-perp gives an invariant
+    block R^|H| (x) V of the relative part, solved alone.  Abelian
+    monodromy (every homology cover) gives blocks of dimension 1 or 2;
+    non-commuting monodromy one block of dimension f - 1.
+
+    Certificates: the sheet basis and the block eigenvectors are
+    orthonormal, the relative vectors have zero fiber sums, and
+    sqrt(|G|) * max ||L_g v - lambda v|| over the lifted and relative
+    eigenpairs, which bounds (Weyl) how far each eigenvalue of L_g lies from
+    the returned one of the same rank, is at most 1e-9 * k."""
+    if g.n > DENSE_LIMIT:
+        raise ResourceLimitError(
+            f"lift decomposition limited to {DENSE_LIMIT} vertices, got {g.n}")
+    from scipy.linalg import eigh
+
     fiber_map = tuple(fiber_map)
     if len(fiber_map) != g.n:
         raise ValueError("fiber map must assign every vertex of g")
-    fibers: dict[int, list[int]] = {}
-    for v, b in enumerate(fiber_map):
-        fibers.setdefault(b, []).append(v)
-    if sorted(fibers) != list(range(h.n)):
+    proj = np.asarray(fiber_map, dtype=np.int64)
+    if not np.array_equal(np.unique(proj), np.arange(h.n)):
         raise ValueError("fiber map must be onto the base vertex set")
-    sizes = {len(f) for f in fibers.values()}
+    sizes = set(np.bincount(proj).tolist())
     if len(sizes) != 1:
         raise ValueError(f"fibers must have constant size, got {sizes}")
     f = sizes.pop()
     k = g.k
     if h.k != k:
         raise ValueError("base and total graph must share the regularity")
+    vertex, perms, arc_perm = _sheets(g, h, proj, f)
 
-    lap_g = k * np.eye(g.n) - g.adjacency_matrix()
     lap_h = k * np.eye(h.n) - h.adjacency_matrix()
-
-    q_lift = np.zeros((g.n, h.n))
-    for b, verts in fibers.items():
-        for v in verts:
-            q_lift[v, b] = 1 / math.sqrt(f)
-    projected = q_lift.T @ lap_g @ q_lift
-    if np.abs(projected - lap_h).max() > 1e-9:
-        raise ValueError("lift subspace does not reproduce the base Laplacian; "
-                         "fiber map is not a covering quotient")
-
-    cols = []
-    for b in sorted(fibers):
-        verts = fibers[b]
-        for i in range(1, f):
-            vec = np.zeros(g.n)
-            vec[verts[:i]] = 1.0
-            vec[verts[i]] = -float(i)
-            vec /= math.sqrt(i * (i + 1))
-            cols.append(vec)
-    from scipy.linalg import eigh
-
     h_vals = np.sort(eigh(lap_h, eigvals_only=True))
-    if cols:
-        q_rel = np.stack(cols, axis=1)
-        rel_op = q_rel.T @ lap_g @ q_rel
-        rel_vals, rel_vecs = eigh(rel_op)
-        rel_vectors = q_rel @ rel_vecs
-        epsilon = float(rel_vals[0])
-    else:
-        rel_vals = np.zeros(0)
-        rel_vectors = np.zeros((g.n, 0))
-        epsilon = math.inf
+    # the vectors only serve the residual: a lifted eigenvector of g has the
+    # residual of its base eigenvector
+    _, h_vecs = eigh(lap_h)
+    worst = np.linalg.norm(lap_h @ h_vecs - h_vecs * h_vals, axis=0).max(
+        initial=0.0)
 
-    g_vals = np.sort(eigh(lap_g, eigvals_only=True))
-    combined = np.sort(np.concatenate([h_vals, rel_vals]))
-    if np.abs(combined - g_vals).max() > 1e-9:
-        raise RuntimeError("lifted and relative parts do not recombine")
+    src, dst = h.arcs()
+    diag = np.arange(h.n)
+    solved = []                  # (values, vectors, basis) per block dimension
+    for basis in _sheet_blocks(perms, f):
+        nb, _, dim = basis.shape
+        # basis^T P basis for each distinct arc permutation, (P x)[s] = x[P[s]]
+        moved = np.einsum("bsd,bpse->bpde", basis, basis[:, perms])
+        op = np.zeros((nb, h.n, dim, h.n, dim))
+        op[:, src, :, dst, :] = -moved[:, arc_perm].transpose(1, 0, 2, 3)
+        op[:, diag, :, diag, :] += k * np.eye(dim)
+        vals, vecs = np.linalg.eigh(op.reshape(nb, h.n * dim, h.n * dim))
+        gram = vecs.transpose(0, 2, 1) @ vecs
+        if np.abs(gram - np.eye(h.n * dim)).max(initial=0.0) > 1e-9:
+            raise RuntimeError("block eigenvectors are not orthonormal")
+        solved.append((vals, vecs, basis))
 
-    fiber_sums = math.sqrt(f) * (q_lift.T @ rel_vectors)
-    if np.abs(fiber_sums).max(initial=0.0) > 1e-8:
-        raise RuntimeError("relative eigenvectors have nonzero fiber sums")
+    rel_vals = np.concatenate([s[0].ravel() for s in solved] + [np.zeros(0)])
+    if len(rel_vals) != g.n - h.n:
+        raise RuntimeError(f"blocks carry {len(rel_vals)} relative "
+                           f"eigenvalues, expected {g.n - h.n}")
+    order = np.argsort(rel_vals, kind="stable")
+    column = np.empty(len(order), dtype=np.int64)
+    column[order] = np.arange(len(order))
+    rel_vals = rel_vals[order]
+    rel_vectors = np.zeros((g.n, len(order)))
+    start = 0
+    for vals, vecs, basis in solved:
+        nb, _, dim = basis.shape
+        # values[b, s, block, i]: sum over t of
+        # vecs[block, b * dim + t, i] * basis[block, s, t]
+        values = np.einsum("bhte,bst->hsbe",
+                           vecs.reshape(nb, h.n, dim, h.n * dim), basis)
+        if np.abs(values.sum(axis=1)).max(initial=0.0) > 1e-8:
+            raise RuntimeError("relative eigenvectors have nonzero fiber sums")
+        cols = column[start:start + vals.size]
+        rel_vectors[np.ix_(vertex.ravel(), cols)] = values.reshape(g.n, -1)
+        start += vals.size
+
+    a = g.sparse_adjacency()
+    for i in range(0, len(order), RESIDUAL_CHUNK):
+        v = rel_vectors[:, i:i + RESIDUAL_CHUNK]
+        r = a @ v - v * (k - rel_vals[i:i + RESIDUAL_CHUNK])
+        worst = max(worst, np.linalg.norm(r, axis=0).max())
+    if math.sqrt(g.n) * worst > 1e-9 * max(1, k):
+        raise RuntimeError(f"lifted and relative parts do not recombine: "
+                           f"Weyl bound {math.sqrt(g.n) * worst:.3g}")
 
     return LiftDecomposition(
         lifted=Spectrum(values=tuple(float(v) for v in h_vals),
                         operator="laplacian", k=k),
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
-        epsilon=epsilon, relative_vectors=rel_vectors, fiber_map=fiber_map,
-        fiber_size=f)
+        epsilon=float(rel_vals[0]) if len(rel_vals) else math.inf,
+        relative_vectors=rel_vectors, fiber_map=fiber_map, fiber_size=f)
+
+
+def _sheets(g: Graph, h: Graph, proj: np.ndarray,
+            f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertex, perms, arc_perm): vertex[b, s] is the vertex of g over b on
+    sheet s, and arc i of h, in h.arcs() order, carries sheet s to sheet
+    perms[arc_perm[i], s]; perms holds each distinct permutation once.
+
+    The sheets over the root of each component of h are its fiber in
+    order, and each arc of a BFS spanning forest of h carries them unchanged
+    to the child.  ValueError unless every vertex of g has exactly one
+    neighbour over each neighbour of its base vertex."""
+    from scipy.sparse.csgraph import connected_components
+
+    k = h.k
+    rows = g.indices.reshape(g.n, k)
+    by_base = np.argsort(proj[rows], axis=1)
+    if not np.array_equal(np.take_along_axis(proj[rows], by_base, axis=1),
+                          h.indices.reshape(h.n, k)[proj]):
+        raise ValueError("a vertex does not have exactly one neighbour over "
+                         "each base neighbour; fiber map is not a covering "
+                         "quotient")
+    # nbr[u, j] is the neighbour of u over the j-th neighbour of proj[u]
+    nbr = np.take_along_axis(rows, by_base, axis=1)
+    labels = connected_components(h.sparse_adjacency(), directed=False)[1]
+    roots = np.unique(labels, return_index=True)[1]
+    _, parent, via, depth = bfs_tree(h.indptr, h.indices, roots)
+    vertex = np.argsort(proj, kind="stable").reshape(h.n, f)
+    for d in range(1, int(depth.max(initial=0)) + 1):
+        level = np.flatnonzero(depth == d)
+        vertex[level] = nbr[vertex[parent[level]], via[level, None]]
+    sheet = np.empty(g.n, dtype=np.int64)
+    sheet[vertex] = np.arange(f)
+    # [i, s]: the neighbour of the vertex on sheet s along arc i of h
+    heads = nbr[vertex].transpose(0, 2, 1).reshape(-1, f)
+    perms, arc_perm = np.unique(sheet[heads], axis=0, return_inverse=True)
+    arc_perm = arc_perm.ravel()
+    if not np.array_equal(vertex[h.indices[:, None], perms[arc_perm]], heads):
+        raise RuntimeError("sheet labels and arc permutations do not "
+                           "rebuild g")
+    return vertex, perms, arc_perm
+
+
+def _sheet_blocks(perms: np.ndarray, f: int) -> list[np.ndarray]:
+    """An orthonormal basis of the complement of the constant vector in R^f,
+    cut into subspaces invariant under every permutation in perms, and
+    returned as one (blocks, f, dim) array per block dimension.
+
+    The cuts are the eigenspaces of T = sum c_j (P_j + P_j^T) + K^T K with
+    K = sum d_j (P_j - P_j^T), over the P_j that commute with all of perms,
+    for fixed generic c, d.  On abelian monodromy T separates every real
+    irreducible block: the symmetric part alone gives a character and its
+    conjugate the same value, but also characters that differ by signs of
+    their imaginary parts, which K^T K tells apart.  T's spectrum is cut only
+    at gaps above BLOCK_GAP of its scale: merging two blocks costs time, a
+    cut inside a cluster would leak between blocks."""
+    from scipy.linalg import eigh
+
+    if f == 1:
+        return []
+    # [i, j, s] is perms[i] after perms[j] at s
+    composed = perms[np.arange(len(perms))[:, None, None], perms[None]]
+    central = perms[(composed == composed.transpose(1, 0, 2)).all(axis=(1, 2))]
+    mats = np.zeros((len(central), f, f))
+    mats[np.arange(len(central))[:, None], np.arange(f), central] = 1.0
+    c, d = np.random.default_rng(0).random((2, len(central)))
+    skew = np.tensordot(d, mats - mats.transpose(0, 2, 1), 1)
+    t = np.tensordot(c, mats + mats.transpose(0, 2, 1), 1) + skew.T @ skew
+    # Helmert basis of 1-perp: column i - 1 is (1, ..., 1, -i, 0, ...) / norm
+    i = np.arange(1, f)
+    helmert = np.triu(np.ones((f, f - 1)))
+    helmert[i, i - 1] = -i
+    helmert /= np.sqrt(i * (i + 1))
+    t_vals, t_vecs = eigh(helmert.T @ t @ helmert)
+    basis = helmert @ t_vecs
+    full = np.column_stack([np.full(f, 1 / math.sqrt(f)), basis])
+    if np.abs(full.T @ full - np.eye(f)).max() > 1e-9:
+        raise RuntimeError("sheet basis is not orthonormal")
+    scale = np.abs(t_vals).max()
+    blocks = np.split(np.arange(f - 1),
+                      np.flatnonzero(np.diff(t_vals) > BLOCK_GAP * scale) + 1)
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for b in blocks:
+        by_dim.setdefault(len(b), []).append(b)
+    return [basis[:, np.array(bs)].transpose(1, 0, 2)
+            for _, bs in sorted(by_dim.items())]
 
 
 # --- non-backtracking walk traces -------------------------------------------

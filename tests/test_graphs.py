@@ -483,6 +483,35 @@ def test_closure_rows_reject_generators_that_do_not_close():
         cyclic.right_table(gens)
 
 
+def test_cayley_index_is_built_on_first_use():
+    for name in ("C6", "psl23", "lps29"):
+        elements, mul, gens = cayley_input(name)
+        cay = cayley_graph(elements, mul, gens)
+        assert "index" not in vars(cay)
+        assert all(mul(cay.elements[cay.identity_index], s) == s for s in gens)
+        assert cay.index == {e: i for i, e in enumerate(elements)}
+        assert "index" in vars(cay)
+
+
+def test_closure_rows_reject_duplicate_elements():
+    closure, gens = random_symmetric_closure(5, [7, 31])
+    mul = lambda a, b: psl.mat_mul(a, b, 5, 5)
+    doubled = psl.Elements(np.concatenate([closure.keys, closure.keys[-1:]]),
+                           closure.modulus, closure.q)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        cayley_graph(doubled, mul, gens)
+    with pytest.raises(ValueError, match="duplicate elements"):
+        cayley_graph(list(doubled), mul, gens)
+
+
+def test_elements_position_reads_the_row_keys():
+    closure, _ = random_symmetric_closure(7, [3])     # a cyclic subgroup
+    assert [closure.position(x) for x in closure] == list(range(len(closure)))
+    outside = next(x for x in psl.psl_elements(7, 1) if x not in set(closure))
+    with pytest.raises(ValueError, match="not in the sequence"):
+        closure.position(outside)
+
+
 def test_cayley_rejects_generator_without_inverse():
     elements, mul, gens = cayley_input("psl23")
     u, _, h = gens

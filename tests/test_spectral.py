@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxlab.graphs import (complete, complete_bipartite, cycle, girth,
+from boxlab.errors import ResourceLimitError
+from boxlab.graphs import (Graph, complete, complete_bipartite, cycle, girth,
                            homology_cover, petersen)
 from boxlab.suites import lps_cayley
-from boxlab.spectral import (POLISHED_RESIDUAL, eigenvalue_threshold,
-                             extreme_spectrum,
+from boxlab.spectral import (POLISHED_RESIDUAL, LiftDecomposition, Spectrum,
+                             eigenvalue_threshold, extreme_spectrum,
                              lift_decomposition, nb_closed_walks_brute,
                              nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
@@ -143,6 +146,195 @@ def test_lift_decomposition_cover_k4():
 def test_lift_decomposition_rejects_bad_fibers():
     with pytest.raises(ValueError):
         lift_decomposition(cycle(8), cycle(4), [0, 1, 2, 3, 0, 1, 2, 2])
+
+
+# --- the block split against the dense oracle --------------------------------
+
+
+def lift_decomposition_brute(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
+    """Split the Laplacian spectrum of g into the part lifted from h
+    (functions constant on fibers) and the relative part (functions with zero
+    fiber sums).  The lifted part must match the spectrum of h exactly."""
+    fiber_map = tuple(fiber_map)
+    if len(fiber_map) != g.n:
+        raise ValueError("fiber map must assign every vertex of g")
+    fibers: dict[int, list[int]] = {}
+    for v, b in enumerate(fiber_map):
+        fibers.setdefault(b, []).append(v)
+    if sorted(fibers) != list(range(h.n)):
+        raise ValueError("fiber map must be onto the base vertex set")
+    sizes = {len(f) for f in fibers.values()}
+    if len(sizes) != 1:
+        raise ValueError(f"fibers must have constant size, got {sizes}")
+    f = sizes.pop()
+    k = g.k
+    if h.k != k:
+        raise ValueError("base and total graph must share the regularity")
+
+    lap_g = k * np.eye(g.n) - g.adjacency_matrix()
+    lap_h = k * np.eye(h.n) - h.adjacency_matrix()
+
+    q_lift = np.zeros((g.n, h.n))
+    for b, verts in fibers.items():
+        for v in verts:
+            q_lift[v, b] = 1 / math.sqrt(f)
+    projected = q_lift.T @ lap_g @ q_lift
+    if np.abs(projected - lap_h).max() > 1e-9:
+        raise ValueError("lift subspace does not reproduce the base Laplacian; "
+                         "fiber map is not a covering quotient")
+
+    cols = []
+    for b in sorted(fibers):
+        verts = fibers[b]
+        for i in range(1, f):
+            vec = np.zeros(g.n)
+            vec[verts[:i]] = 1.0
+            vec[verts[i]] = -float(i)
+            vec /= math.sqrt(i * (i + 1))
+            cols.append(vec)
+    from scipy.linalg import eigh
+
+    h_vals = np.sort(eigh(lap_h, eigvals_only=True))
+    if cols:
+        q_rel = np.stack(cols, axis=1)
+        rel_op = q_rel.T @ lap_g @ q_rel
+        rel_vals, rel_vecs = eigh(rel_op)
+        rel_vectors = q_rel @ rel_vecs
+        epsilon = float(rel_vals[0])
+    else:
+        rel_vals = np.zeros(0)
+        rel_vectors = np.zeros((g.n, 0))
+        epsilon = math.inf
+
+    g_vals = np.sort(eigh(lap_g, eigvals_only=True))
+    combined = np.sort(np.concatenate([h_vals, rel_vals]))
+    if np.abs(combined - g_vals).max() > 1e-9:
+        raise RuntimeError("lifted and relative parts do not recombine")
+
+    fiber_sums = math.sqrt(f) * (q_lift.T @ rel_vectors)
+    if np.abs(fiber_sums).max(initial=0.0) > 1e-8:
+        raise RuntimeError("relative eigenvectors have nonzero fiber sums")
+
+    return LiftDecomposition(
+        lifted=Spectrum(values=tuple(float(v) for v in h_vals),
+                        operator="laplacian", k=k),
+        relative=Spectrum(values=tuple(float(v) for v in rel_vals),
+                          operator="laplacian", k=k),
+        epsilon=epsilon, relative_vectors=rel_vectors, fiber_map=fiber_map,
+        fiber_size=f)
+
+
+def voltage_cover(h: Graph, f: int, voltages: dict, seed: int = 0):
+    """The f-fold cover of h whose edge (u, v), u < v, joins (u, s) to
+    (v, voltages[(u, v)][s]) (the identity when absent), with its vertices
+    shuffled; returns the cover and its fiber map."""
+    relabel = np.random.default_rng(seed).permutation(h.n * f)
+    edges = [(relabel[u * f + s], relabel[v * f + pi[s]])
+             for u, v in h.edges()
+             for pi in [voltages.get((u, v), range(f))] for s in range(f)]
+    fiber_map = np.empty(h.n * f, dtype=np.int64)
+    fiber_map[relabel] = np.arange(h.n * f) // f
+    return Graph.from_edges(h.n * f, edges), fiber_map.tolist()
+
+
+def assert_matches_brute(g, h, fiber_map):
+    deco = lift_decomposition(g, h, fiber_map)
+    ref = lift_decomposition_brute(g, h, fiber_map)
+    assert np.abs(np.subtract(deco.lifted.values,
+                              ref.lifted.values)).max() <= 1e-9
+    assert len(deco.relative.values) == len(ref.relative.values) == g.n - h.n
+    assert np.abs(np.subtract(sorted(deco.relative.values),
+                              ref.relative.values)).max(initial=0) <= 1e-9
+    if math.isinf(ref.epsilon):
+        assert deco.epsilon == math.inf
+    else:
+        assert abs(deco.epsilon - ref.epsilon) <= 1e-9
+    vecs = deco.relative_vectors
+    assert vecs.shape == (g.n, g.n - h.n)
+    assert np.abs(vecs.T @ vecs - np.eye(g.n - h.n)).max(initial=0) <= 1e-9
+    proj = np.asarray(fiber_map)
+    for b in range(h.n):
+        assert np.abs(vecs[proj == b].sum(axis=0)).max(initial=0) <= 1e-9
+    lap_g = g.k * np.eye(g.n) - g.adjacency_matrix()
+    values = np.array(deco.relative.values)
+    assert np.abs(lap_g @ vecs - vecs * values).max(initial=0) <= 1e-9
+    assert deco.fiber_size == g.n // h.n
+
+
+def test_lift_matches_brute_c8_c4_and_trivial_quotient():
+    assert_matches_brute(cycle(8), cycle(4), [v % 4 for v in range(8)])
+    assert_matches_brute(cycle(6), cycle(6), list(range(6)))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", ["C6", "K4", "K33"])
+def test_lift_matches_brute_on_homology_covers(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    assert_matches_brute(cover.graph, cover.base, cover.projection)
+
+
+@pytest.mark.parametrize("name", ["petersen", "psl23"])
+def test_lift_matches_brute_on_large_double_covers(corpus_cover, name):
+    cover = corpus_cover(name, 2)
+    assert_matches_brute(cover.graph, cover.base, cover.projection)
+
+
+def test_lift_matches_brute_on_trivial_disconnected_cover():
+    # two shuffled copies of a base that is itself disconnected: C3 + C4
+    h = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0),
+                             (3, 4), (4, 5), (5, 6), (6, 3)])
+    g, fiber_map = voltage_cover(h, 2, {}, seed=3)
+    assert not g.is_connected()
+    assert_matches_brute(g, h, fiber_map)
+
+
+def test_lift_matches_brute_on_non_commuting_voltages():
+    # S_3 voltages on K4's non-tree edges: a 3-cycle and a transposition
+    # generate S_3, so the monodromy does not commute and 1-perp of the sheets
+    # is one block of dimension 2
+    g, fiber_map = voltage_cover(complete(4), 3, {(1, 2): (1, 2, 0),
+                                                  (1, 3): (1, 0, 2),
+                                                  (2, 3): (0, 2, 1)}, seed=1)
+    assert g.is_connected()
+    assert_matches_brute(g, complete(4), fiber_map)
+
+
+SMALL_REGULAR = [cycle(5), cycle(6), complete(4), complete(5),
+                 complete_bipartite(3, 3), petersen()]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data(), base=st.sampled_from(range(len(SMALL_REGULAR))),
+       f=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_lift_matches_brute_on_random_voltage_covers(data, base, f, seed):
+    h = SMALL_REGULAR[base]
+    voltages = {e: tuple(data.draw(st.permutations(range(f))))
+                for e in h.edges()}
+    g, fiber_map = voltage_cover(h, f, voltages, seed=seed)
+    assert_matches_brute(g, h, fiber_map)
+
+
+def test_lift_rejects_a_fiber_map_that_is_not_a_covering():
+    # constant fibers of size 2, but vertex 5 over 1 has neighbours over 0, 3
+    fiber_map = [0, 1, 2, 3, 0, 1, 3, 2]
+    with pytest.raises(ValueError, match="not a covering quotient"):
+        lift_decomposition_brute(cycle(8), cycle(4), fiber_map)
+    with pytest.raises(ValueError, match="not a covering quotient"):
+        lift_decomposition(cycle(8), cycle(4), fiber_map)
+
+
+def test_lift_rejects_a_cover_above_the_dense_limit(monkeypatch):
+    import scipy.linalg
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved past the cap")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    cover = homology_cover(petersen(), 3)
+    assert cover.graph.n == 7290
+    with pytest.raises(ResourceLimitError, match="4000"):
+        lift_decomposition(cover.graph, cover.base, cover.projection)
 
 
 def test_nb_trace_t0_and_girth_zeros():

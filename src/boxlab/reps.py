@@ -16,10 +16,12 @@ q^(n-3k-3); those quotients themselves are far beyond enumeration.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graphs
 from .errors import ResourceLimitError
 from .zmod import is_prime
 
@@ -32,9 +34,10 @@ class BorelGroup:
     k: int
     n: int
     elements: list[Element]
-    index: dict[Element, int] = field(repr=False)
-    beta_of: dict[int, int] = field(repr=False)   # a value -> exponent of 1 + q^k
-    a_inv: dict[int, int] = field(repr=False)
+    # int64 tables by a value: exponent of 1 + q^k and a^-1 (-1 and 0 off
+    # the group; mul, inv and Irrep.matrices raise there)
+    beta_of: np.ndarray = field(repr=False)
+    a_inv: np.ndarray = field(repr=False)
 
     @property
     def modulus(self) -> int:
@@ -48,23 +51,23 @@ class BorelGroup:
     def identity(self) -> Element:
         return (1, 0)
 
+    def _unit_inverse(self, a: int) -> int:
+        """a^-1 mod q^n; ValueError unless a is a power of 1 + q^k."""
+        if not 0 <= a < self.modulus or self.beta_of[a] < 0:
+            raise ValueError(f"a = {a} is not a power of 1 + q^k "
+                             f"mod {self.modulus}")
+        return int(self.a_inv[a])
+
     def mul(self, g: Element, h: Element) -> Element:
         a, b = g
         a2, b2 = h
         mod = self.modulus
-        return (a * a2 % mod, (a * b2 + b * self.a_inv[a2]) % mod)
+        self._unit_inverse(a)             # g off the group raises too
+        return (a * a2 % mod, (a * b2 + b * self._unit_inverse(a2)) % mod)
 
     def inv(self, g: Element) -> Element:
         a, b = g
-        return (self.a_inv[a], -b % self.modulus)
-
-    def beta(self, g: Element) -> int:
-        return self.beta_of[g[0]]
-
-    def project(self, g: Element) -> Element:
-        """Reduction onto the level n-1 group."""
-        mod = self.q ** (self.n - 1)
-        return (g[0] % mod, g[1] % mod)
+        return (self._unit_inverse(a), -b % self.modulus)
 
 
 def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
@@ -78,23 +81,20 @@ def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
         raise ResourceLimitError(f"group order {order} exceeds cap {cap}")
     mod = q ** n
     gen = 1 + q ** k
-    a_order = q ** (n - k)
-    beta_of = {}
-    a = 1
-    for e in range(a_order):
-        beta_of[a] = e
-        a = a * gen % mod
-    if a != 1:
+    powers = [1]
+    while len(powers) < q ** (n - k):
+        powers.append(powers[-1] * gen % mod)
+    if powers[-1] * gen % mod != 1:
         raise RuntimeError("1 + q^k must have order q^(n-k)")
-    a_inv = {v: pow(v, -1, mod) for v in beta_of}
-    b_values = range(0, mod, q ** k)
-    elements = [(av, b) for av in sorted(beta_of, key=beta_of.get)
-                for b in b_values]
+    beta_of = np.full(mod, -1, dtype=np.int64)
+    beta_of[powers] = np.arange(len(powers))
+    a_inv = np.zeros(mod, dtype=np.int64)
+    a_inv[powers] = [pow(a, -1, mod) for a in powers]
+    elements = [(a, b) for a in powers for b in range(0, mod, q ** k)]
     if len(elements) != order:
         raise RuntimeError(f"{len(elements)} elements, expected order {order}")
-    return BorelGroup(q=q, k=k, n=n, elements=elements,
-                      index={e: i for i, e in enumerate(elements)},
-                      beta_of=beta_of, a_inv=a_inv)
+    return BorelGroup(q=q, k=k, n=n, elements=elements, beta_of=beta_of,
+                      a_inv=a_inv)
 
 
 # --- monomial representations ------------------------------------------------
@@ -134,45 +134,56 @@ class Irrep:
     rep_id: str = ""
 
     def matrix(self, g: Element) -> Monomial:
+        perm, phases = self.matrices([g])
+        return tuple(perm[0].tolist()), tuple(phases[0].tolist())
+
+    def matrices(self, elements) -> tuple[np.ndarray, np.ndarray]:
+        """Batch matrix: int64 perm and phases of shape (len(elements), dim),
+        whose row i is matrix(elements[i]); elements may be an (m, 2) array."""
         group = self.group
         q, k, n = group.q, group.k, group.n
         mod = group.modulus
+        a, b = np.asarray(elements, dtype=np.int64).reshape(-1, 2).T
+        beta = group.beta_of[a % mod]
+        if (beta < 0).any() or (a % mod != a).any():
+            raise ValueError("an element's a value is not a power of 1 + q^k")
+        step = q ** k
+        # the diagonal character: all of diag, the twist of induced and lift
+        rho = beta[:, None] * (self.jp if self.kind == "induced" else self.j) \
+            * step % mod
         if self.kind == "diag":
-            return (0,), (group.beta(g) * self.j * q ** k % mod,)
+            return np.zeros((len(a), 1), dtype=np.int64), rho
         if self.kind == "character":
-            b = g[1]
-            expo = (group.beta(g) * self.j + (b // q ** k) * self.jp) \
-                * q ** (n - k) % mod
-            return (0,), (expo,)
+            expo = (beta * self.j + b // step * self.jp) * q ** (n - k) % mod
+            return np.zeros((len(a), 1), dtype=np.int64), expo[:, None]
         if self.kind == "induced":
-            a, b = g
             ainv = group.a_inv[a]
             r = q ** (n - k)
-            step = q ** k
-            rho = group.beta(g) * self.jp * step % mod
-            perm = []
-            phases = []
-            ainv2 = ainv * ainv % r
-            for t in range(self.dim):
-                x = self.j + step * t
-                target = ainv2 * x % r
-                perm.append((target - self.j) // step)
-                phases.append((ainv * b * x + rho) % mod)
-            return tuple(perm), tuple(phases)
+            x = self.j + step * np.arange(self.dim)
+            target = (ainv * ainv % r)[:, None] * x % r
+            return ((target - self.j) // step,
+                    ((ainv * b % mod)[:, None] * x + rho) % mod)
         if self.kind == "lift":
-            perm, phases = self.base.matrix(group.project(g))
-            rho = group.beta(g) * self.j * q ** k % mod
-            return perm, tuple((p * q + rho) % mod for p in phases)
+            perm, phases = self.base.matrices(np.c_[a, b] % q ** (n - 1))
+            return perm, (phases * q + rho) % mod
         raise ValueError(f"unknown kind {self.kind!r}")
 
-    def char(self, g: Element) -> complex:
-        perm, phases = self.matrix(g)
+    def characters(self, elements) -> np.ndarray:
+        """Batch character: entry i is char(elements[i]), the sum in column
+        order of exp(2 pi i p / q^n) over the fixed columns' phases p."""
+        perm, phases = self.matrices(elements)
         mod = self.group.modulus
-        total = 0j
-        for c, target in enumerate(perm):
-            if target == c:
-                total += cmath.exp(2j * cmath.pi * phases[c] / mod)
-        return total
+        fixed = perm == np.arange(self.dim)
+        roots = np.zeros(mod, dtype=complex)
+        for p in np.unique(phases[fixed]).tolist():
+            roots[p] = cmath.exp(2j * cmath.pi * p / mod)
+        out = np.zeros(len(perm), dtype=complex)
+        for c in range(self.dim):
+            out[fixed[:, c]] += roots[phases[fixed[:, c], c]]
+        return out
+
+    def char(self, g: Element) -> complex:
+        return complex(self.characters([g])[0])
 
     def dense(self, g: Element) -> np.ndarray:
         perm, phases = self.matrix(g)
@@ -248,7 +259,7 @@ def irrep_inventory(group: BorelGroup, tolerance: float = 1e-9) -> CharacterTabl
         raise RuntimeError(
             f"completeness failure: sum of squared dimensions {total} != "
             f"group order {group.order}")
-    chars = np.array([[r.char(g) for g in group.elements] for r in irreps])
+    chars = np.array([r.characters(group.elements) for r in irreps])
     gram = chars @ chars.conj().T / group.order
     defect = float(np.abs(gram - np.eye(len(irreps))).max())
     if defect > tolerance:
@@ -307,19 +318,40 @@ def brute_force_irreps(elements, mul, seed: int = 0, retries: int = 5,
     random self-adjoint operator commuting with the left regular
     representation.  Eigenvalue multiplicities of such an operator are the
     irreducible dimensions, each dimension d occurring d times per
-    irreducible of that dimension."""
+    irreducible of that dimension.
+
+    The product table is filled from greedy generator columns along a BFS
+    tree; ValueError if mul disagrees on a spot-checked row or is not closed."""
     elements = list(elements)
     size = len(elements)
     if size > cap:
         raise ResourceLimitError(f"group order {size} exceeds cap {cap}")
-    index = {e: i for i, e in enumerate(elements)}
-    identity = next(e for e in elements
-                    if mul(e, elements[0]) == elements[0]
-                    and mul(elements[0], e) == elements[0])
-    inv = [index[next(h for h in elements if mul(g, h) == identity)]
-           for g in elements]
-    mul_idx = [[index[mul(elements[i], elements[j])] for j in range(size)]
-               for i in range(size)]
+    columns = graphs.generator_table(elements, mul, elements[:1])[1]
+    # the identity x is the one with x * elements[0] = elements[0]
+    identity = int(graphs.inverse_permutations(columns)[0, 0])
+    while True:
+        order, parent, via, _ = graphs.bfs_tree(
+            np.arange(size + 1) * columns.shape[1], columns.ravel(), identity)
+        if (parent >= 0).all():
+            break
+        gen = elements[int(np.argmin(parent >= 0))]     # first unreached
+        columns = np.hstack([columns, graphs.generator_table(
+            elements, mul, [gen])[1]])
+    # [i, j] = idx(e_i e_j), in the narrowest type that holds every index
+    table = np.empty((size, size), dtype=np.min_scalar_type(size), order="F")
+    table[:, identity] = np.arange(size)
+    for v in order[1:].tolist():
+        table[:, v] = columns[table[:, parent[v]], via[v]]
+    for i in range(size - 1, -1, -graphs.SPOT_STRIDE):
+        for j, ij in enumerate(table[i].tolist()):
+            if mul(elements[i], elements[j]) != elements[ij]:
+                raise ValueError(f"mul disagrees with the generator-filled "
+                                 f"table at {elements[i]!r} * {elements[j]!r}")
+    rows, inv = np.nonzero(table == identity)
+    if not np.array_equal(rows, np.arange(size)):
+        raise ValueError("a product table row has no unique identity")
+    for v in range(size):       # rows in place, no second table
+        table[:, v] = table[inv, v]         # now [j, i] = idx(e_j^-1 e_i)
 
     for attempt in range(retries):
         rng = np.random.default_rng(seed + attempt)
@@ -333,27 +365,11 @@ def brute_force_irreps(elements, mul, seed: int = 0, retries: int = 5,
                 z = rng.standard_normal() + 1j * rng.standard_normal()
                 y[i] = z
                 y[inv[i]] = z.conjugate()
-        h = np.empty((size, size), dtype=complex)
-        for jcol in range(size):
-            ij = inv[jcol]
-            row = mul_idx[ij]
-            for i in range(size):
-                h[i, jcol] = y[row[i]]
-        vals = np.linalg.eigvalsh(h)
-        scale = max(1.0, float(np.abs(vals).max()))
-        tol = 1e-6 * scale
-        mults = []
-        current = 1
-        for i in range(1, size):
-            if vals[i] - vals[i - 1] <= tol:
-                current += 1
-            else:
-                mults.append(current)
-                current = 1
-        mults.append(current)
-        counts: dict[int, int] = {}
-        for m in mults:
-            counts[m] = counts.get(m, 0) + 1
+        vals = np.linalg.eigvalsh(y[table].T)
+        tol = 1e-6 * max(1.0, float(np.abs(vals).max()))
+        # a cluster ends where the next eigenvalue is more than tol above
+        ends = np.flatnonzero(np.append(np.diff(vals) > tol, True))
+        counts = Counter(np.diff(ends, prepend=-1).tolist())
         if any(c % d for d, c in counts.items()):
             continue
         dims = {d: c // d for d, c in counts.items()}

@@ -61,7 +61,8 @@ def spectrum(graph: Graph) -> Spectrum:
     """Full adjacency spectrum by a dense solve (|V| <= 4000); the extreme
     eigenvalues of larger graphs come from extreme_spectrum."""
     if graph.n > DENSE_LIMIT:
-        raise ValueError(f"dense spectrum limited to {DENSE_LIMIT} vertices")
+        raise ResourceLimitError(
+            f"dense spectrum limited to {DENSE_LIMIT} vertices, got {graph.n}")
     from scipy.linalg import eigh
 
     a = graph.adjacency_matrix()

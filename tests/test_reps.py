@@ -1,3 +1,4 @@
+import cmath
 import random
 
 import numpy as np
@@ -79,6 +80,95 @@ def test_induced_rep_homomorphism_random_pairs():
             assert lhs == rhs
 
 
+def _matrix_reference(r, g):
+    """Irrep.matrix by the closed forms, one element at a time, with the
+    exponent of 1 + q^k found by search and a^-1 by pow."""
+    q, k, n = r.group.q, r.group.k, r.group.n
+    mod = q ** n
+    a, b = g
+    beta = next(e for e in range(q ** (n - k)) if pow(1 + q ** k, e, mod) == a)
+    if r.kind == "diag":
+        return (0,), (beta * r.j * q ** k % mod,)
+    if r.kind == "character":
+        return (0,), ((beta * r.j + b // q ** k * r.jp) * q ** (n - k) % mod,)
+    if r.kind == "induced":
+        ainv, step = pow(a, -1, mod), q ** k
+        xs = [r.j + step * t for t in range(r.dim)]
+        perm = tuple((ainv * ainv * x % q ** (n - k) - r.j) // step for x in xs)
+        return perm, tuple((ainv * b * x + beta * r.jp * step) % mod for x in xs)
+    low = q ** (n - 1)
+    perm, phases = _matrix_reference(r.base, (a % low, b % low))
+    return perm, tuple((p * q + beta * r.j * q ** k) % mod for p in phases)
+
+
+def _kinds_inventory(q, k, n):
+    g = borel_group(q, k, n)
+    irreps = list(irrep_inventory(g).irreps) + [diagonal_character(g, 2)]
+    assert {r.kind for r in irreps} >= {"diag", "induced", "lift"}
+    return g, irreps
+
+
+def test_every_irrep_is_a_homomorphism():
+    kinds = set()
+    for q, k, n in [(3, 1, 4), (5, 1, 3)]:
+        g, irreps = _kinds_inventory(q, k, n)
+        rng = random.Random(15)
+        for r in irreps:
+            kinds |= {r.kind} | ({r.base.kind} if r.base else set())
+            for _ in range(6):
+                x, y = rng.choice(g.elements), rng.choice(g.elements)
+                lhs = r.matrix(g.mul(x, y))
+                assert lhs == monomial_mul(r.matrix(x), r.matrix(y), g.modulus)
+    assert kinds == {"diag", "character", "induced", "lift"}
+
+
+def test_batch_matrices_match_reference_rows():
+    for q, k, n in [(3, 1, 3), (3, 1, 4), (5, 1, 3)]:
+        g, irreps = _kinds_inventory(q, k, n)
+        rng = random.Random(16)
+        for r in irreps:
+            perm, phases = r.matrices(g.elements)
+            assert perm.shape == phases.shape == (g.order, r.dim)
+            for i in rng.sample(range(g.order), 6):
+                row = tuple(perm[i].tolist()), tuple(phases[i].tolist())
+                assert row == r.matrix(g.elements[i])
+                assert row == _matrix_reference(r, g.elements[i])
+
+
+def test_batch_matrices_reject_foreign_elements():
+    g = borel_group(3, 1, 3)
+    for a in (2, -26, 28):      # not a power of 4; 1 and 1 + 27 wrapped
+        with pytest.raises(ValueError, match="power of 1"):
+            diagonal_character(g, 1).matrices([(1, 0), (a, 0)])
+
+
+def test_mul_and_inv_reject_foreign_elements():
+    g = borel_group(3, 1, 3)
+    for a in (2, -26, 28, 0):
+        with pytest.raises(ValueError, match="power of 1"):
+            g.mul((1, 0), (a, 0))
+        with pytest.raises(ValueError, match="power of 1"):
+            g.mul((a, 0), (1, 0))
+        with pytest.raises(ValueError, match="power of 1"):
+            g.inv((a, 0))
+
+
+def test_batch_characters_are_bitwise_char():
+    for q, k, n in [(3, 1, 3), (3, 1, 4), (5, 1, 3)]:
+        g, irreps = _kinds_inventory(q, k, n)
+        rng = random.Random(17)
+        for r in irreps:
+            chars = r.characters(g.elements)
+            for i in rng.sample(range(g.order), 6):
+                perm, phases = _matrix_reference(r, g.elements[i])
+                expected = 0j
+                for c, target in enumerate(perm):
+                    if target == c:
+                        expected += cmath.exp(2j * cmath.pi * phases[c]
+                                              / g.modulus)
+                assert chars[i] == r.char(g.elements[i]) == expected
+
+
 def test_irrep_unitary():
     g = borel_group(3, 1, 3)
     table = irrep_inventory(g)
@@ -138,10 +228,69 @@ def test_classify_all_inventories():
 
 
 def test_brute_force_oracle_matches_inventory():
-    for q, k, n in [(3, 1, 2), (3, 1, 3), (5, 1, 2)]:
+    for q, k, n in [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3)]:
         g = borel_group(q, k, n)
-        dims = brute_force_irreps(g.elements, g.mul)
+        calls = []
+
+        def mul(x, y):
+            calls.append(None)
+            return g.mul(x, y)
+
+        dims = brute_force_irreps(g.elements, mul)
         assert dims == irrep_inventory(g).dimensions()
+        # generator columns and spot rows, not the |G|^2 products
+        assert len(calls) <= 20000
+
+
+def _permutation_group(gens):
+    """Closure of permutation tuples under composition (p*r)(i) = p[r[i]]."""
+    elements = [tuple(range(len(gens[0])))]
+    for x in elements:
+        for s in gens:
+            y = tuple(x[i] for i in s)
+            if y not in elements:
+                elements.append(y)
+    return elements, lambda p, r: tuple(p[i] for i in r)
+
+
+def test_brute_force_oracle_on_groups_that_are_not_borel():
+    s3, compose = _permutation_group([(1, 0, 2), (1, 2, 0)])
+    assert len(s3) == 6
+    assert brute_force_irreps(s3, compose) == {1: 2, 2: 1}
+    # Q8 as (sign, unit) with unit 0..3 for 1, i, j, k
+    table = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+             [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+             [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+             [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+
+    def quat_mul(x, y):
+        sign, unit = table[x[1]][y[1]]
+        return (x[0] * y[0] * sign, unit)
+
+    q8 = [(s, u) for u in range(4) for s in (1, -1)]
+    assert brute_force_irreps(q8, quat_mul) == {1: 4, 2: 1}
+
+
+def test_brute_force_spot_check_catches_a_wrong_mul():
+    g = borel_group(3, 1, 3)
+    last, square = g.elements[-1], g.mul(g.elements[1], g.elements[1])
+
+    def wrong(x, y):
+        # the generators' columns stay right; the last row is spot-checked
+        if (x, y) == (last, square):
+            return g.identity
+        return g.mul(x, y)
+
+    assert brute_force_irreps(g.elements, g.mul) == {1: 27, 3: 6}
+    with pytest.raises(ValueError, match="mul disagrees"):
+        brute_force_irreps(g.elements, wrong)
+
+
+def test_brute_force_rejects_elements_not_closed():
+    g = borel_group(3, 1, 3)
+    for subset in (g.elements[:40], g.elements[1:], g.elements[::2]):
+        with pytest.raises(ValueError, match="not closed"):
+            brute_force_irreps(subset, g.mul)
 
 
 def test_brute_force_trivial_group():

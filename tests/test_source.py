@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
+import textwrap
 
 import boxlab
+from boxlab import reps
 
 
 def test_library_has_no_assert_statements():
@@ -34,3 +37,15 @@ def test_traced_benchmark_names_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"boxlab.{name} is not a callable"
+
+
+def test_irrep_oracle_is_independent_of_the_inventory():
+    # the regular-representation oracle checks the irrep inventory, so it
+    # may not reach for the inventory's own machinery
+    tree = ast.parse(textwrap.dedent(inspect.getsource(reps.brute_force_irreps)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    used = names & {"Irrep", "CharacterTable", "_inventory", "matrices",
+                     "characters"}
+    assert not used, f"brute_force_irreps uses {sorted(used)}"

@@ -337,6 +337,13 @@ def test_lift_rejects_a_cover_above_the_dense_limit(monkeypatch):
         lift_decomposition(cover.graph, cover.base, cover.projection)
 
 
+def test_spectrum_above_dense_limit_is_a_resource_limit():
+    from boxlab.spectral import DENSE_LIMIT
+
+    with pytest.raises(ResourceLimitError, match=f"{DENSE_LIMIT} vertices"):
+        spectrum(cycle(DENSE_LIMIT + 1))
+
+
 def test_nb_trace_t0_and_girth_zeros():
     g = petersen()
     tr = nb_trace(g, 8)

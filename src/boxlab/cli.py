@@ -38,7 +38,11 @@ def _write_report(report: dict, out: str | None) -> None:
 
 
 def cmd_feasibility(args) -> int:
-    result = min_feasible_level(args.q, args.k)
+    try:
+        result = min_feasible_level(args.q, args.k)
+    except ValueError as exc:
+        print(f"boxlab feasibility: {exc}", file=sys.stderr)
+        return 2
     report = {
         "version": REPORT_VERSION,
         "command": "feasibility",

@@ -24,38 +24,6 @@ N_LETTERS = 6
 MAX_RADIUS = 12  # largest word length trivial_word_counts accepts
 
 
-def inverse_letter(letter: int) -> int:
-    return letter ^ 1
-
-
-def is_reduced(word: Sequence[int]) -> bool:
-    return all(word[i + 1] != word[i] ^ 1 for i in range(len(word) - 1))
-
-
-def reduce_word(letters: Sequence[int]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for l in letters:
-        if not 0 <= l < N_LETTERS:
-            raise ValueError(f"letter {l} out of range")
-        if stack and stack[-1] == l ^ 1:
-            stack.pop()
-        else:
-            stack.append(l)
-    return tuple(stack)
-
-
-def word_inverse(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(l ^ 1 for l in reversed(word))
-
-
-def ball_size(radius: int) -> int:
-    """Number of reduced words of length <= radius (1 + 6 + 30 + ...)."""
-    total = 1
-    for m in range(1, radius + 1):
-        total += 6 * 5 ** (m - 1)
-    return total
-
-
 # --- Schreier data for a finite quotient ----------------------------------
 
 
@@ -73,11 +41,6 @@ class SchreierData:
     transversal: list[tuple[int, ...]]          # shortest word per coset
     sgen_of: dict[tuple[int, int], tuple[int, int]]  # (coset, letter) -> (index, sign)
     rank: int
-
-    def coset_mul(self, c1: int, c2: int) -> int:
-        for l in self.transversal[c2]:
-            c1 = self.table[c1][l]
-        return c1
 
 
 def schreier_build(elements: Sequence, mul: Callable, identity,
@@ -131,32 +94,6 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
                         sgen_of=sgen_of, rank=rank)
 
 
-@dataclass
-class HomologyElement:
-    """Image of a word in the homology-cover quotient: a coset together with
-    a sparse vector over Z_q in the non-tree-edge basis.  The stored witness
-    word makes products computable via rescanning."""
-
-    coset: int
-    vector: dict[int, int]
-    word: tuple[int, ...]
-    sd: SchreierData
-    q: int
-
-    def is_identity(self) -> bool:
-        return self.coset == 0 and not self.vector
-
-    def __mul__(self, other: "HomologyElement") -> "HomologyElement":
-        vec = dict(self.vector)
-        coset = _scan(other.word, self.sd, self.q, self.coset, vec)
-        return HomologyElement(coset=coset, vector=vec,
-                               word=reduce_word(self.word + other.word),
-                               sd=self.sd, q=self.q)
-
-    def __eq__(self, other) -> bool:  # type: ignore[override]
-        return (self.coset, self.vector) == (other.coset, other.vector)
-
-
 def _scan(word: Sequence[int], sd: SchreierData, q: int, start: int,
           vec: dict[int, int]) -> int:
     """Walk word through the coset table accumulating signed non-tree-edge
@@ -173,15 +110,6 @@ def _scan(word: Sequence[int], sd: SchreierData, q: int, start: int,
                 vec.pop(idx, None)
         c = sd.table[c][l]
     return c
-
-
-def homology_map(word: Sequence[int], sd: SchreierData, q: int) -> HomologyElement:
-    word = tuple(word)
-    if not is_reduced(word):
-        raise ValueError("word must be reduced")
-    vec: dict[int, int] = {}
-    coset = _scan(word, sd, q, 0, vec)
-    return HomologyElement(coset=coset, vector=vec, word=word, sd=sd, q=q)
 
 
 # --- the combined congruence / homology quotient ---------------------------
@@ -215,26 +143,6 @@ class FiberContext:
                 psl.canon(psl.IDENT, modulus_k, q),
                 [mats_k[0], mats_k[2], mats_k[4]])
         return cls(q=q, n=n, k=k, letter_mats=letter_mats, sd=sd)
-
-
-def word_matrix(word: Sequence[int], ctx: FiberContext) -> psl.Mat:
-    modulus = ctx.q ** ctx.n
-    out = psl.canon(psl.IDENT, modulus, ctx.q)
-    for l in word:
-        out = psl.mat_mul(out, ctx.letter_mats[l], modulus, ctx.q)
-    return out
-
-
-def fiber_map(word: Sequence[int], ctx: FiberContext):
-    """Image of a reduced word as a (matrix, homology element) pair; the
-    kernel is the intersection of the level-n congruence kernel with the
-    level-k homology kernel."""
-    word = tuple(word)
-    if not is_reduced(word):
-        raise ValueError("word must be reduced")
-    mat = word_matrix(word, ctx) if ctx.n >= 1 else None
-    hom = homology_map(word, ctx.sd, ctx.q) if ctx.sd is not None else None
-    return mat, hom
 
 
 def trivial_word_counts(n: int, k: int | None, m: int, q: int,

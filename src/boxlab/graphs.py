@@ -1,10 +1,9 @@
-"""Finite simple graphs: Cayley graphs, girth, Cheeger constants, and
-homology covers built from a spanning tree.
+"""Finite simple graphs as CSR arrays: Cayley graphs, girth, and homology
+covers built from a spanning tree.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
@@ -47,17 +46,6 @@ class Graph:
         order = np.lexsort((dst, src))
         return cls(n=n, indptr=np.searchsorted(src[order], np.arange(n + 1)),
                    indices=dst[order], vertex_transitive=vertex_transitive)
-
-    @functools.cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbour tuple of each vertex, derived from the arrays on
-        first use, for searches that walk one vertex at a time."""
-        flat, bounds = self.indices.tolist(), self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    def edges(self) -> list[tuple[int, int]]:
-        src, dst = self.arcs()
-        return list(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """int64 (src, dst) of every arc u -> v, in adjacency order."""
@@ -116,32 +104,6 @@ class Graph:
         return sparse.csr_matrix(
             (np.ones(len(self.indices)), self.indices, self.indptr),
             shape=(self.n, self.n))
-
-    def write_file(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {self.num_edges}\n")
-            for u, v in self.edges():
-                fh.write(f"{u} {v}\n")
-
-
-def read_graph_file(path: str) -> Graph:
-    """Read the plain edge-list format: first line "V E", then E lines "u v".
-    Non-simple input is rejected."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("bad header line")
-        n, e = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("projection"):
-                break
-            u, v = map(int, line.split())
-            edges.append((u, v))
-    if len(edges) != e:
-        raise ValueError(f"expected {e} edges, read {len(edges)}")
-    return Graph.from_edges(n, edges)
 
 
 # --- named graphs ----------------------------------------------------------
@@ -274,12 +236,6 @@ class CayleyGraph:
     parent: list[int] = field(repr=False)
     via: list[int] = field(repr=False)
 
-    @functools.cached_property
-    def index(self) -> dict:
-        """element -> index, built on first use; the build has already
-        rejected duplicate elements."""
-        return {e: i for i, e in enumerate(self.elements)}
-
     def right_translation(self, z: int) -> np.ndarray:
         """The permutation x -> x * z of the element indices, walked along
         the generator word of z in the BFS tree."""
@@ -344,89 +300,26 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
                        table=table, parent=parent.tolist(), via=via.tolist())
 
 
-# --- girth and Cheeger -----------------------------------------------------
+# --- girth ----------------------------------------------------------------
 
 
 def girth(graph: Graph) -> float:
-    """Length of the shortest cycle, math.inf for forests.  Per-root BFS with
-    depth pruning against the best cycle found so far.  Every vertex of a
+    """Length of the shortest cycle, math.inf for forests.  One BFS per
+    root: an arc (u, v), neither end the tree parent of the other, closes a
+    cycle through that non-tree edge of length at most depth[u] + depth[v]
+    + 1, with equality from a root on a shortest cycle.  Every vertex of a
     vertex-transitive graph lies on a shortest cycle, so a flagged graph is
     searched from vertex 0 alone."""
     best = math.inf
-    roots = range(graph.n)
-    for root in roots[:1] if graph.vertex_transitive else roots:
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if 2 * dist[u] >= best - 1:
-                    continue
-                for v in graph.adj[u]:
-                    if v == parent[u]:
-                        continue
-                    if v in dist:
-                        best = min(best, dist[u] + dist[v] + 1)
-                    else:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
+    src, dst = graph.arcs()
+    for root in range(1 if graph.vertex_transitive else graph.n):
+        _, parent, _, depth = bfs_tree(graph.indptr, graph.indices, root)
+        closing = (depth[src] >= 0) & (parent[src] != dst) & (parent[dst] != src)
+        if closing.any():
+            best = min(best, int((depth[src] + depth[dst])[closing].min()) + 1)
         if best == 3:
             break
     return best
-
-
-@dataclass(frozen=True)
-class CheegerResult:
-    value: float | None
-    witness: frozenset | None
-    lower: float
-    upper: float
-    exact: bool
-
-
-def cheeger_exact(graph: Graph, exhaustive_limit: int = 24) -> CheegerResult:
-    """Exact Cheeger constant by subset enumeration for small graphs.
-
-    For graphs above the limit, returns spectral bounds [l1/2, sqrt(2*k*l1)]
-    with exact=False.
-    """
-    n = graph.n
-    comp = graph.bfs_distances(0) >= 0 if n else np.ones(0, dtype=bool)
-    if not comp.all():
-        small = comp if comp.sum() <= n // 2 else ~comp
-        return CheegerResult(value=0.0,
-                             witness=frozenset(np.flatnonzero(small).tolist()),
-                             lower=0.0, upper=0.0, exact=True)
-    if n > exhaustive_limit:
-        from .spectral import spectrum
-
-        lam1 = spectrum(graph).laplacian_values()[1]
-        return CheegerResult(value=None, witness=None, lower=lam1 / 2,
-                             upper=math.sqrt(2 * graph.k * lam1), exact=False)
-    masks = [sum(1 << v for v in graph.adj[u]) for u in range(n)]
-    best = math.inf
-    best_set = 0
-    half = n // 2
-    for s in range(1, 1 << n):
-        size = s.bit_count()
-        if size > half:
-            continue
-        boundary = 0
-        t = s
-        while t:
-            v = (t & -t).bit_length() - 1
-            boundary += (masks[v] & ~s).bit_count()
-            t &= t - 1
-        ratio = boundary / size
-        if ratio < best:
-            best = ratio
-            best_set = s
-    witness = frozenset(v for v in range(n) if best_set >> v & 1)
-    return CheegerResult(value=best, witness=witness, lower=best, upper=best,
-                         exact=True)
 
 
 # --- spanning trees and homology covers ------------------------------------
@@ -467,9 +360,6 @@ class CoverGraph:
     rank: int
     tree: SpanningTreeData
 
-    def fiber(self, base_vertex: int) -> list[int]:
-        return [v for v, p in enumerate(self.projection) if p == base_vertex]
-
     def deck_translate(self, shift: Sequence[int]) -> list[int]:
         """Vertex permutation translating the Z_m^r coordinate by shift."""
         m, r = self.m, self.rank
@@ -480,13 +370,6 @@ class CoverGraph:
         shifted = ((digits + np.asarray(shift, dtype=np.int64)) % m) @ weights
         n = self.base.n
         return (shifted[:, None] * n + np.arange(n)).ravel().tolist()
-
-    def write_file(self, path: str) -> None:
-        self.graph.write_file(path)
-        with open(path, "a") as fh:
-            fh.write("projection\n")
-            for cv, bv in enumerate(self.projection):
-                fh.write(f"{cv} {bv}\n")
 
 
 def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:

@@ -46,24 +46,6 @@ class KernelPairMeasure:
         return cls(blocks=tuple(tuple(g) for g in groups.values()),
                    n=n, D=n * (f - 1))
 
-    @classmethod
-    def from_kernel(cls, cay: CayleyGraph, kernel) -> "KernelPairMeasure":
-        """Blocks are the right cosets x * N of the kernel element set."""
-        kernel = [cay.index[z] for z in kernel]
-        if cay.identity_index not in kernel:
-            raise ValueError("kernel must contain the identity")
-        if len(kernel) < 2:
-            raise ValueError("kernel is trivial; measure undefined")
-        # column x is the coset x * N; blocks are numbered by their least vertex
-        cosets = np.array([cay.right_translation(z) for z in kernel])
-        _, block_of = np.unique(cosets.min(axis=0), return_inverse=True)
-        return cls.from_fibers(block_of.tolist())
-
-    def total_mass(self) -> float:
-        f = len(self.blocks[0])
-        return len(self.blocks) * f * (f - 1) / self.D
-
-
 @dataclass(eq=False)
 class LipschitzMap:
     graph: Graph
@@ -71,10 +53,11 @@ class LipschitzMap:
     name: str = "map"
 
     def lipschitz_defect(self) -> tuple[float, tuple[int, int]]:
-        """Largest edge stretch and the first edge, in edges() order,
-        achieving it; (0.0, (-1, -1)) when no edge is stretched."""
+        """Largest edge stretch and the first edge achieving it, among the
+        arcs (u, v) with u < v in adjacency order; (0.0, (-1, -1)) when no
+        edge is stretched."""
         edges = np.stack(self.graph.arcs(), axis=1)
-        edges = edges[edges[:, 0] < edges[:, 1]]        # the edges() order
+        edges = edges[edges[:, 0] < edges[:, 1]]
         vecs = np.asarray(self.vectors).reshape(self.graph.n, -1)
         stretch = np.linalg.norm(vecs[edges[:, 0]] - vecs[edges[:, 1]], axis=1)
         if not (stretch > 0).any():

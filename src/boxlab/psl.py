@@ -145,13 +145,6 @@ def lps_letter_images(gens, q: int, n: int, eps: int) -> list[Mat]:
     return [lps_embed(g, q, n, eps) for g in gens.elements]
 
 
-def reduce_level(m: Mat, q: int, n: int, k: int) -> Mat:
-    """Entrywise reduction from level n to level k, re-canonicalised."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return canon(m, q ** k, q)
-
-
 def psl_order(q: int, n: int) -> int:
     return q ** (3 * n - 2) * (q * q - 1) // 2
 

@@ -1,15 +1,10 @@
-"""Integer quaternions: norm-p generator sets, power-of-5 classes, loop counting.
-
-Quaternions of norm a power of 5 are identified when they differ by a power
-of 5 and a sign; the canonical class representative is 5-primitive with its
-first nonzero coefficient positive.
-"""
+"""Integer quaternions: norm-p generator sets and loop counting."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .zmod import is_prime
 
@@ -37,43 +32,6 @@ class Quat(NamedTuple):
         return self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
 
 
-ONE = Quat(1, 0, 0, 0)
-
-
-def canonical_class(x: Quat) -> Quat:
-    """Canonical representative: divide out powers of 5, make the first
-    nonzero coefficient positive."""
-    if x == (0, 0, 0, 0):
-        raise ValueError("zero quaternion has no class")
-    while all(c % 5 == 0 for c in x):
-        x = Quat(*(c // 5 for c in x))
-    for c in x:
-        if c != 0:
-            if c < 0:
-                x = Quat(*(-v for v in x))
-            break
-    return x
-
-
-def class_mul(a: Quat, b: Quat) -> Quat:
-    return canonical_class(a * b)
-
-
-def is_power_of_5(n: int) -> bool:
-    if n < 1:
-        return False
-    while n % 5 == 0:
-        n //= 5
-    return n == 1
-
-
-def class_inv(a: Quat) -> Quat:
-    """Inverse of a class of 5-power norm is its conjugate's class."""
-    if not is_power_of_5(a.norm()):
-        raise ValueError("inverse defined only for classes of 5-power norm")
-    return canonical_class(a.conjugate())
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """The p+1 norm-p quaternions with odd positive real part and even
@@ -82,9 +40,6 @@ class GeneratorSet:
 
     p: int
     elements: tuple[Quat, ...]
-
-    def inverse_letter(self, letter: int) -> int:
-        return letter ^ 1
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -128,26 +83,6 @@ def _first_imag_sign(x: Quat) -> int:
         if c:
             return 1 if c > 0 else -1
     return 0
-
-
-def word_to_class(word: Sequence[int], gens: GeneratorSet) -> Quat:
-    """Class of the product of generator letters along a reduced word.
-
-    The representative of a reduced word of length m has norm exactly 5^m;
-    non-reduced words are rejected.
-    """
-    for i, letter in enumerate(word):
-        if not 0 <= letter < len(gens.elements):
-            raise ValueError(f"letter {letter} out of range")
-        if i and word[i - 1] == letter ^ 1:
-            raise ValueError(f"word not reduced at position {i}")
-    out = ONE
-    for letter in word:
-        out = out * gens.elements[letter]
-    out = canonical_class(out)
-    if out.norm() != 5 ** len(word):
-        raise RuntimeError(f"class of norm {out.norm()}, expected 5^{len(word)}")
-    return out
 
 
 # --- counting three-square representations -------------------------------

@@ -102,20 +102,10 @@ def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (perm, phase exponents)
 
 
-def monomial_mul(x: Monomial, y: Monomial, denominator: int) -> Monomial:
-    """Matrix product of monomial matrices: column c goes through y then x."""
-    px, fx = x
-    py, fy = y
-    perm = tuple(px[py[c]] for c in range(len(py)))
-    phases = tuple((fy[c] + fx[py[c]]) % denominator for c in range(len(py)))
-    return perm, phases
-
-
 @dataclass(eq=False)
 class Irrep:
     """One irreducible representation, evaluated on demand.
 
-    kind "diag": the character (a, b) -> exp(2 pi i beta j / q^(n-k)).
     kind "character": the base abelian case n = 2k, parameters (j, jp)
     giving the character exp(2 pi i (beta j + btilde jp) / q^k).
     kind "induced": parameters (j, jp) with j not divisible by q; acts on
@@ -148,11 +138,9 @@ class Irrep:
         if (beta < 0).any() or (a % mod != a).any():
             raise ValueError("an element's a value is not a power of 1 + q^k")
         step = q ** k
-        # the diagonal character: all of diag, the twist of induced and lift
+        # the diagonal character that twists induced and lift
         rho = beta[:, None] * (self.jp if self.kind == "induced" else self.j) \
             * step % mod
-        if self.kind == "diag":
-            return np.zeros((len(a), 1), dtype=np.int64), rho
         if self.kind == "character":
             expo = (beta * self.j + b // step * self.jp) * q ** (n - k) % mod
             return np.zeros((len(a), 1), dtype=np.int64), expo[:, None]
@@ -185,25 +173,10 @@ class Irrep:
     def char(self, g: Element) -> complex:
         return complex(self.characters([g])[0])
 
-    def dense(self, g: Element) -> np.ndarray:
-        perm, phases = self.matrix(g)
-        mod = self.group.modulus
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, target in enumerate(perm):
-            out[target, c] = cmath.exp(2j * cmath.pi * phases[c] / mod)
-        return out
-
     def is_trivial_at(self, g: Element) -> bool:
         perm, phases = self.matrix(g)
         return all(t == c for c, t in enumerate(perm)) and \
             all(p == 0 for p in phases)
-
-
-def diagonal_character(group: BorelGroup, j: int) -> Irrep:
-    """One-dimensional character (a, b) -> exp(2 pi i beta j / q^(n-k))."""
-    if not 0 <= j < group.q ** group.k:
-        raise ValueError(f"j out of range: {j}")
-    return Irrep(group=group, kind="diag", dim=1, j=j, rep_id=f"diag(j={j})")
 
 
 def induced_rep(group: BorelGroup, j: int, jp: int = 0) -> Irrep:
@@ -299,14 +272,6 @@ def classify_all(table: CharacterTable) -> list[tuple[str, int, int]]:
                 f"predicted {predicted}, actual {r.dim}")
         out.append((r.rep_id, level, r.dim))
     return out
-
-
-def export_character_table_csv(table: CharacterTable, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("id,kind,j,jp,dimension,level\n")
-        for r in table.irreps:
-            level, _ = dimension_by_level(table.group, r)
-            fh.write(f"{r.rep_id},{r.kind},{r.j},{r.jp},{r.dim},{level}\n")
 
 
 # --- numeric oracle -----------------------------------------------------------

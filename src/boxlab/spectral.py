@@ -441,29 +441,6 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
     return TraceSequence(exact=exact, cumulative=tuple(cum), p=p, k=k)
 
 
-def nb_closed_walks_brute(graph: Graph, m: int) -> int:
-    """Independent oracle: enumerate closed walks of length m with no
-    immediate reversal, summed over all start vertices."""
-    if m == 0:
-        return graph.n
-    total = 0
-
-    def extend(start: int, prev: int, cur: int, depth: int) -> int:
-        if depth == m:
-            return 1 if cur == start else 0
-        count = 0
-        for nxt in graph.adj[cur]:
-            if nxt == prev:
-                continue
-            count += extend(start, cur, nxt, depth + 1)
-        return count
-
-    for s in range(graph.n):
-        for first in graph.adj[s]:
-            total += extend(s, s, first, 1)
-    return total
-
-
 def nb_spectral_formula(adjacency_values, p: int, M: int) -> list[float]:
     """sum_j p^(m/2) sin((m+1) theta_j)/sin(theta_j) with mu = 2 sqrt(p) cos(theta),
     using the sinh form for |mu| > 2 sqrt(p)."""

@@ -363,7 +363,12 @@ def criterion_loops(seed: int = 0) -> dict:
 
 def min_feasible_level(q: int, k: int) -> dict:
     """Smallest admissible depth for the size condition, with the implied
-    quotient-order magnitude showing it is far beyond desk scale."""
+    quotient-order magnitude showing it is far beyond desk scale.
+    ValueError unless q is an odd prime and k >= 1."""
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     margin = 3 * k + 3 + 2 * q ** (3 * k + 1)
     n_min = 6 * margin
     exponent = 3 * n_min + 3 * k + 3 + 2 * q ** (3 * k + 1)

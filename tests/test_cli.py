@@ -29,6 +29,19 @@ def test_cli_feasibility(tmp_path, capsys):
     assert report["pass"]
 
 
+@pytest.mark.parametrize("q, k", [(4, 1), (1, 1), (0, 1), (-3, 1), (29, -1)])
+def test_cli_feasibility_rejects_invalid_input(tmp_path, capsys, q, k):
+    with pytest.raises(ValueError):
+        min_feasible_level(q, k)
+    out = tmp_path / "report.json"
+    code = main(["feasibility", "--q", str(q), "--k", str(k),
+                 "--out", str(out)])
+    assert code != 0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be" in err
+
+
 def test_cli_pipeline_hensel(tmp_path):
     out = str(tmp_path / "hensel.json")
     assert main(["pipeline", "--suite", "hensel", "--out", out]) == 0

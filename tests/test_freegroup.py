@@ -1,15 +1,100 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from boxlab import psl
 from boxlab.errors import ResourceLimitError
-from boxlab.freegroup import (N_LETTERS, FiberContext, ball_size, fiber_map,
-                              homology_map, is_reduced, reduce_word,
-                              schreier_build, trivial_word_counts, word_inverse)
+from boxlab.freegroup import (N_LETTERS, FiberContext, SchreierData, _scan,
+                              schreier_build, trivial_word_counts)
 from boxlab.quaternion import loop_count_quat
 from boxlab.spectral import nb_trace
 from boxlab.suites import lps_cayley
+
+
+def is_reduced(word):
+    return all(word[i + 1] != word[i] ^ 1 for i in range(len(word) - 1))
+
+
+def reduce_word(letters):
+    stack = []
+    for l in letters:
+        if not 0 <= l < N_LETTERS:
+            raise ValueError(f"letter {l} out of range")
+        if stack and stack[-1] == l ^ 1:
+            stack.pop()
+        else:
+            stack.append(l)
+    return tuple(stack)
+
+
+def word_inverse(word):
+    return tuple(l ^ 1 for l in reversed(word))
+
+
+def coset_mul(sd, c1, c2):
+    """The coset of c1 times c2, walked along c2's transversal word."""
+    for l in sd.transversal[c2]:
+        c1 = sd.table[c1][l]
+    return c1
+
+
+# --- the homology quotient map, word by word, kept as an oracle for _scan ----
+
+
+@dataclass
+class HomologyElement:
+    """Image of a word in the homology-cover quotient: a coset together with
+    a sparse vector over Z_q in the non-tree-edge basis.  The stored witness
+    word makes products computable via rescanning."""
+
+    coset: int
+    vector: dict
+    word: tuple
+    sd: SchreierData
+    q: int
+
+    def is_identity(self):
+        return self.coset == 0 and not self.vector
+
+    def __mul__(self, other):
+        vec = dict(self.vector)
+        coset = _scan(other.word, self.sd, self.q, self.coset, vec)
+        return HomologyElement(coset=coset, vector=vec,
+                               word=reduce_word(self.word + other.word),
+                               sd=self.sd, q=self.q)
+
+    def __eq__(self, other):
+        return (self.coset, self.vector) == (other.coset, other.vector)
+
+
+def homology_map(word, sd, q):
+    word = tuple(word)
+    if not is_reduced(word):
+        raise ValueError("word must be reduced")
+    vec = {}
+    coset = _scan(word, sd, q, 0, vec)
+    return HomologyElement(coset=coset, vector=vec, word=word, sd=sd, q=q)
+
+
+def word_matrix(word, ctx):
+    modulus = ctx.q ** ctx.n
+    out = psl.canon(psl.IDENT, modulus, ctx.q)
+    for l in word:
+        out = psl.mat_mul(out, ctx.letter_mats[l], modulus, ctx.q)
+    return out
+
+
+def fiber_map(word, ctx):
+    """Image of a reduced word as a (matrix, homology element) pair; the
+    kernel is the intersection of the level-n congruence kernel with the
+    level-k homology kernel."""
+    word = tuple(word)
+    if not is_reduced(word):
+        raise ValueError("word must be reduced")
+    mat = word_matrix(word, ctx) if ctx.n >= 1 else None
+    hom = homology_map(word, ctx.sd, ctx.q) if ctx.sd is not None else None
+    return mat, hom
 
 
 def z2_quotient():
@@ -45,11 +130,6 @@ def test_reduce_word():
     assert not is_reduced((0, 1))
     assert not is_reduced((4, 5))
     assert word_inverse((0, 2)) == (3, 1)
-
-
-def test_ball_size():
-    assert ball_size(0) == 1
-    assert ball_size(2) == 37
 
 
 def test_schreier_trivial_quotient():
@@ -143,7 +223,7 @@ def test_schreier_matches_two_pass_build(name):
     mul = args[1]
     for c1, x in enumerate(order):
         for c2, y in enumerate(order):
-            assert order[sd.coset_mul(c1, c2)] == mul(x, y)
+            assert order[coset_mul(sd, c1, c2)] == mul(x, y)
 
 
 def test_schreier_makes_one_mul_call_per_element_and_image():
@@ -233,7 +313,7 @@ def test_homology_product_coset_is_coset_product():
         for _ in range(50):
             a = homology_map(random_reduced_word(rng, rng.randint(0, 7)), sd, q)
             b = homology_map(random_reduced_word(rng, rng.randint(0, 7)), sd, q)
-            assert (a * b).coset == sd.coset_mul(a.coset, b.coset)
+            assert (a * b).coset == coset_mul(sd, a.coset, b.coset)
 
 
 @pytest.fixture(scope="module")

@@ -4,20 +4,21 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxlab import psl
+from boxlab import graphs, psl
 from boxlab.errors import ResourceLimitError
-from boxlab.graphs import (Graph, cayley_graph, cheeger_exact, complete,
+from boxlab.graphs import (Graph, cayley_graph, complete,
                            bfs_tree, complete_bipartite, cycle,
                            generator_table, girth,
                            homology_cover, inverse_permutations,
-                           is_automorphism, petersen, read_graph_file,
+                           is_automorphism, petersen,
                            spanning_tree, SpanningTreeData, verify_covering)
 from boxlab.quaternion import quaternion_generators
 from boxlab.suites import lps_cayley
 from boxlab.zmod import LpsParams
+from conftest import adj, edges
 
 
 def psl23_cayley():
@@ -40,7 +41,7 @@ def test_from_edges_rejects_non_simple():
 
 def test_cayley_cycle():
     cay = cayley_graph(list(range(6)), lambda a, b: (a + b) % 6, [1, 5])
-    assert cay.graph.adj == cycle(6).adj
+    assert adj(cay.graph) == adj(cycle(6))
     assert cay.graph.k == 2
 
 
@@ -62,77 +63,61 @@ def test_cayley_psl23():
     assert cay.graph.is_connected()
 
 
-def test_girth():
-    assert girth(complete(4)) == 3
-    assert girth(petersen()) == 5
-    assert girth(cycle(9)) == 9
-    tree = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert girth(tree) == math.inf
-    assert girth(complete_bipartite(3, 3)) == 4
-
-
-def brute_cheeger(graph):
+def girth_brute(graph):
+    """The retired per-root BFS with depth pruning against the best cycle
+    found so far; vertex 0 alone when the graph is flagged vertex-transitive."""
+    nbrs = adj(graph)
     best = math.inf
-    n = graph.n
-    for s in range(1, 1 << n):
-        verts = [v for v in range(n) if s >> v & 1]
-        if len(verts) > n // 2:
-            continue
-        inside = set(verts)
-        boundary = sum(1 for u in verts for v in graph.adj[u] if v not in inside)
-        best = min(best, boundary / len(verts))
+    roots = range(graph.n)
+    for root in roots[:1] if graph.vertex_transitive else roots:
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                if 2 * dist[u] >= best - 1:
+                    continue
+                for v in nbrs[u]:
+                    if v == parent[u]:
+                        continue
+                    if v in dist:
+                        best = min(best, dist[u] + dist[v] + 1)
+                    else:
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        if best == 3:
+            break
     return best
 
 
-def test_cheeger_c4():
-    res = cheeger_exact(cycle(4))
-    assert res.exact and res.value == 1.0
-    assert len(res.witness) == 2
-    u, v = sorted(res.witness)
-    assert v in cycle(4).adj[u]
+@st.composite
+def simple_graphs(draw):
+    """A random simple graph on 0..14 vertices, forests and disconnected
+    graphs included."""
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from([0.1, 0.2, 0.4]))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, x in zip(pairs, keep) if x < density])
 
 
-def test_cheeger_k4():
-    res = cheeger_exact(complete(4))
-    assert res.value == 2.0
-    assert brute_cheeger(complete(4)) == 2.0
-
-
-def test_cheeger_petersen_matches_brute():
-    assert cheeger_exact(petersen()).value == brute_cheeger(petersen()) == 1.0
-
-
-def test_cheeger_disconnected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    res = cheeger_exact(g)
-    assert res.value == 0.0
-
-
-@pytest.mark.parametrize("edges,smaller", [
-    ([(0, 1), (1, 2), (3, 4)], {3, 4}),     # vertex 0 in the larger component
-    ([(0, 1), (2, 3), (3, 4)], {0, 1}),     # vertex 0 in the smaller one
-])
-def test_cheeger_disconnected_witness_is_smaller_component(edges, smaller):
-    res = cheeger_exact(Graph.from_edges(5, edges))
-    assert (res.value, res.lower, res.upper, res.exact) == (0.0, 0.0, 0.0, True)
-    assert res.witness == frozenset(smaller)
-
-
-def test_cheeger_bounds_for_large_graph():
-    cay = cayley_graph(list(range(40)), lambda a, b: (a + b) % 40, [1, 39])
-    res = cheeger_exact(cay.graph, exhaustive_limit=24)
-    assert not res.exact
-    assert res.lower > 0
-    assert res.lower <= 2 / 40 * 2 <= res.upper  # h(C_40) = 2/20 = 0.1
-
-def test_cheeger_buser_sandwich():
-    from boxlab.spectral import spectrum
-
-    for g in [cycle(4), cycle(12), complete(4), petersen(),
-              complete_bipartite(3, 3)]:
-        h = cheeger_exact(g).value
-        lam1 = spectrum(g).laplacian_values()[1]
-        assert lam1 / 2 - 1e-9 <= h <= math.sqrt(2 * g.k * lam1) + 1e-9
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graph=simple_graphs(), expected=st.none())
+@example(graph=complete(4), expected=3)
+@example(graph=petersen(), expected=5)
+@example(graph=cycle(9), expected=9)
+@example(graph=Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+         expected=math.inf)
+@example(graph=complete_bipartite(3, 3), expected=4)
+def test_girth(graph, expected):
+    value = girth(graph)
+    assert value == girth_brute(graph)
+    assert expected is None or value == expected
+    assert type(value) is int or value == math.inf
 
 
 def test_spanning_tree_counts():
@@ -171,7 +156,7 @@ def test_cover_petersen_girth_monotone():
 def test_cover_fibers_and_deck_action():
     cover = homology_cover(complete(4), 2)
     for bv in range(4):
-        assert len(cover.fiber(bv)) == 8
+        assert cover.projection.count(bv) == 8
     # generators of the deck group act as automorphisms, freely
     for j in range(cover.rank):
         shift = [0] * cover.rank
@@ -198,32 +183,6 @@ def test_projection_preserves_degree():
     assert verify_covering(cover)
 
 
-def test_graph_file_round_trip(tmp_path):
-    g = petersen()
-    path = str(tmp_path / "petersen.txt")
-    g.write_file(path)
-    back = read_graph_file(path)
-    assert back.adj == g.adj
-
-
-def test_graph_file_rejects_non_simple(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2 2\n0 1\n1 0\n")
-    with pytest.raises(ValueError):
-        read_graph_file(str(path))
-
-
-def test_cover_file_includes_projection(tmp_path):
-    cover = homology_cover(cycle(4), 2)
-    path = str(tmp_path / "cover.txt")
-    cover.write_file(path)
-    text = open(path).read()
-    assert "projection" in text
-    assert f"{cover.graph.n} {cover.graph.num_edges}" in text.splitlines()[0]
-    back = read_graph_file(path)
-    assert back.adj == cover.graph.adj
-
-
 # --- the retired per-vertex loops, kept as oracles ---------------------------
 
 
@@ -243,7 +202,7 @@ def deck_translate_digit_loop(cover, shift):
 
 def is_automorphism_edge_set(graph, perm):
     """Edge-set check; only meaningful when perm is a bijection."""
-    edge_set = set(graph.edges())
+    edge_set = set(edges(graph))
     return all(((perm[u], perm[v]) if perm[u] < perm[v] else
                 (perm[v], perm[u])) in edge_set for u, v in edge_set)
 
@@ -258,9 +217,30 @@ CORPUS = ("C6", "K4", "K33", "petersen", "psl23")
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("name", CORPUS)
 def test_cover_girth_matches_all_roots(corpus_cover, name, m):
-    g = corpus_cover(name, m).graph
-    assert g.vertex_transitive
-    assert girth(g) == girth(flag_off(g))
+    cover = corpus_cover(name, m)
+    for g in (cover.base, cover.graph):
+        assert g.vertex_transitive
+        value = girth(g)
+        assert type(value) is int
+        assert value == girth_brute(g) == girth_brute(flag_off(g))
+        # the array search pays a full BFS per root once the flag is cleared
+        if g.n <= 2000:
+            assert girth(flag_off(g)) == value
+
+
+def test_flagged_girth_runs_one_bfs(corpus_cover, monkeypatch):
+    roots = []
+
+    def counting_bfs_tree(indptr, indices, root):
+        roots.append(root)
+        return bfs_tree(indptr, indices, root)
+
+    monkeypatch.setattr(graphs, "bfs_tree", counting_bfs_tree)
+    for name in CORPUS:
+        for m in (2, 3):
+            roots.clear()
+            girth(corpus_cover(name, m).graph)
+            assert roots == [0], (name, m)
 
 
 def test_cover_of_non_transitive_base_is_not_flagged():
@@ -328,7 +308,7 @@ def cayley_adj_edge_set(elements, mul, gens):
         for s in gens:
             j = index[mul(x, s)]
             edges.add((i, j) if i < j else (j, i))
-    return Graph.from_edges(len(elements), sorted(edges)).adj
+    return adj(Graph.from_edges(len(elements), sorted(edges)))
 
 
 def cayley_input(name):
@@ -350,7 +330,7 @@ def cayley_input(name):
 def test_cayley_table_matches_edge_set(name):
     elements, mul, gens = cayley_input(name)
     cay = lps_cayley(29) if name == "lps29" else cayley_graph(elements, mul, gens)
-    assert cay.graph.adj == cayley_adj_edge_set(elements, mul, gens)
+    assert adj(cay.graph) == cayley_adj_edge_set(elements, mul, gens)
     assert cay.table.shape == (len(elements), len(gens))
 
 
@@ -483,16 +463,6 @@ def test_closure_rows_reject_generators_that_do_not_close():
         cyclic.right_table(gens)
 
 
-def test_cayley_index_is_built_on_first_use():
-    for name in ("C6", "psl23", "lps29"):
-        elements, mul, gens = cayley_input(name)
-        cay = cayley_graph(elements, mul, gens)
-        assert "index" not in vars(cay)
-        assert all(mul(cay.elements[cay.identity_index], s) == s for s in gens)
-        assert cay.index == {e: i for i, e in enumerate(elements)}
-        assert "index" in vars(cay)
-
-
 def test_closure_rows_reject_duplicate_elements():
     closure, gens = random_symmetric_closure(5, [7, 31])
     mul = lambda a, b: psl.mat_mul(a, b, 5, 5)
@@ -583,13 +553,14 @@ def from_edges_brute(n, edges):
 
 
 def bfs_distances_brute(graph, source):
+    nbrs = adj(graph)
     dist = [-1] * graph.n
     dist[source] = 0
     frontier = [source]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in graph.adj[u]:
+            for v in nbrs[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
@@ -598,6 +569,7 @@ def bfs_distances_brute(graph, source):
 
 
 def is_bipartite_brute(graph):
+    nbrs = adj(graph)
     color = [-1] * graph.n
     for start in range(graph.n):
         if color[start] >= 0:
@@ -607,7 +579,7 @@ def is_bipartite_brute(graph):
         while frontier:
             nxt = []
             for u in frontier:
-                for v in graph.adj[u]:
+                for v in nbrs[u]:
                     if color[v] < 0:
                         color[v] = color[u] ^ 1
                         nxt.append(v)
@@ -620,6 +592,7 @@ def is_bipartite_brute(graph):
 def spanning_tree_brute(graph):
     if not (graph.n == 0 or all(d >= 0 for d in bfs_distances_brute(graph, 0))):
         raise ValueError("graph must be connected")
+    nbrs = adj(graph)
     seen = [False] * graph.n
     seen[0] = True
     tree = set()
@@ -627,13 +600,13 @@ def spanning_tree_brute(graph):
     while frontier:
         nxt = []
         for u in frontier:
-            for v in graph.adj[u]:
+            for v in nbrs[u]:
                 if not seen[v]:
                     seen[v] = True
                     tree.add((u, v) if u < v else (v, u))
                     nxt.append(v)
         frontier = nxt
-    non_tree = tuple((u, v) for u in range(graph.n) for v in graph.adj[u]
+    non_tree = tuple((u, v) for u in range(graph.n) for v in nbrs[u]
                      if u < v and (u, v) not in tree)
     return SpanningTreeData(tree_edges=frozenset(tree), non_tree_edges=non_tree,
                             rank=graph.num_edges - graph.n + 1)
@@ -658,9 +631,10 @@ def homology_cover_edges_brute(graph, m, tree):
 def verify_covering_brute(cover):
     base = cover.base
     proj = cover.projection
+    cover_nbrs, base_nbrs = adj(cover.graph), adj(base)
     for cv in range(cover.graph.n):
-        image = sorted(proj[w] for w in cover.graph.adj[cv])
-        if image != sorted(base.adj[proj[cv]]):
+        image = sorted(proj[w] for w in cover_nbrs[cv])
+        if image != sorted(base_nbrs[proj[cv]]):
             return False
     return True
 
@@ -678,7 +652,7 @@ def assert_cover_matches_brute(cover):
     tree = spanning_tree_brute(base)
     assert cover.tree == tree
     edges = homology_cover_edges_brute(base, cover.m, tree)
-    assert cover.graph.adj == from_edges_brute(cover.graph.n, edges)
+    assert adj(cover.graph) == from_edges_brute(cover.graph.n, edges)
     assert cover.projection == tuple(cv % base.n for cv in range(cover.graph.n))
     assert verify_covering(cover) is verify_covering_brute(cover) is True
 
@@ -715,7 +689,7 @@ RAGGED = {
 def test_array_graph_matches_vertex_loops(name):
     n, edges = RAGGED[name]
     g = Graph.from_edges(n, edges)
-    assert g.adj == from_edges_brute(n, edges)
+    assert adj(g) == from_edges_brute(n, edges)
     assert g.is_bipartite() == is_bipartite_brute(g)
     assert g.is_connected() == all(d >= 0 for d in
                                    (bfs_distances_brute(g, 0) if n else []))
@@ -752,13 +726,9 @@ def test_from_edges_errors_match_edge_set_loop(n, edges):
     assert outcome(Graph.from_edges, n, edges) == expected
 
 
-def test_negative_vertex_count_rejected(tmp_path):
+def test_negative_vertex_count_rejected():
     with pytest.raises(ValueError, match="negative"):
         Graph.from_edges(-3, [])
-    path = tmp_path / "negative.txt"
-    path.write_text("-3 0\n")
-    with pytest.raises(ValueError, match="negative"):
-        read_graph_file(str(path))
 
 
 @st.composite

@@ -9,6 +9,7 @@ from boxlab import psl
 from boxlab.errors import ResourceLimitError
 from boxlab.quaternion import Quat, quaternion_generators
 from boxlab.zmod import LpsParams
+from conftest import word_to_class
 
 
 def random_reduced_word(rng, length):
@@ -80,8 +81,6 @@ def test_embed_is_homomorphism_on_words():
         modulus = 29 ** n
         eps = params.epsilon(n)
         mats = psl.lps_letter_images(gens, 29, n, eps)
-        from boxlab.quaternion import word_to_class
-
         for _ in range(40):
             w = random_reduced_word(rng, rng.randint(0, 6))
             via_quat = psl.lps_embed(word_to_class(w, gens), 29, n, eps)
@@ -94,14 +93,13 @@ def test_reduce_identity_and_homomorphism():
     mats = psl.lps_letter_images(gens, 29, 2, params.epsilon(2))
     modulus = 29 ** 2
     ident = psl.canon(psl.IDENT, modulus, 29)
-    assert psl.reduce_level(ident, 29, 2, 1) == psl.canon(psl.IDENT, 29, 29)
+    assert psl.canon(ident, 29, 29) == psl.canon(psl.IDENT, 29, 29)
     rng = random.Random(5)
     for _ in range(40):
         g = word_image(random_reduced_word(rng, 5), mats, modulus, 29)
         h = word_image(random_reduced_word(rng, 5), mats, modulus, 29)
-        lhs = psl.reduce_level(psl.mat_mul(g, h, modulus, 29), 29, 2, 1)
-        rhs = psl.mat_mul(psl.reduce_level(g, 29, 2, 1),
-                          psl.reduce_level(h, 29, 2, 1), 29, 29)
+        lhs = psl.canon(psl.mat_mul(g, h, modulus, 29), 29, 29)
+        rhs = psl.mat_mul(psl.canon(g, 29, 29), psl.canon(h, 29, 29), 29, 29)
         assert lhs == rhs
 
 
@@ -111,7 +109,7 @@ def test_reduce_compatible_with_eps_chain():
     for g in gens.elements:
         at3 = psl.lps_embed(g, 29, 3, params.epsilon(3))
         at1 = psl.lps_embed(g, 29, 1, params.epsilon(1))
-        assert psl.reduce_level(at3, 29, 3, 1) == at1
+        assert psl.canon(at3, 29, 29) == at1
 
 
 def test_kernel_sizes_and_structure():
@@ -131,7 +129,7 @@ def test_kernel_matches_brute_force_enumeration():
     kernel = set(psl.kernel_enumerate(3, 2, 1).elements)
     ident = psl.canon(psl.IDENT, 3, 3)
     brute = {m for m in psl.psl_elements(3, 2)
-             if psl.reduce_level(m, 3, 2, 1) == ident}
+             if psl.canon(m, 3, 3) == ident}
     assert kernel == brute
 
 

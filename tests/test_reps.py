@@ -5,9 +5,25 @@ import numpy as np
 import pytest
 
 from boxlab.reps import (borel_group, brute_force_irreps, classify_all,
-                         diagonal_character, dimension_by_level,
-                         export_character_table_csv, induced_rep,
-                         irrep_inventory, monomial_mul)
+                         dimension_by_level, induced_rep, irrep_inventory)
+
+
+def monomial_mul(x, y, denominator):
+    """Matrix product of monomial matrices: column c goes through y then x."""
+    px, fx = x
+    py, fy = y
+    perm = tuple(px[py[c]] for c in range(len(py)))
+    phases = tuple((fy[c] + fx[py[c]]) % denominator for c in range(len(py)))
+    return perm, phases
+
+
+def dense(r, g):
+    """The irrep's matrix at g as a dense complex array."""
+    perm, phases = r.matrix(g)
+    out = np.zeros((r.dim, r.dim), dtype=complex)
+    for c, target in enumerate(perm):
+        out[target, c] = cmath.exp(2j * cmath.pi * phases[c] / r.group.modulus)
+    return out
 
 
 def is_abelian(group):
@@ -43,21 +59,6 @@ def test_borel_abelian_iff_n_equals_2k():
     assert not is_abelian(borel_group(3, 1, 3))
 
 
-def test_diagonal_character_is_multiplicative():
-    g = borel_group(3, 1, 3)
-    rho = diagonal_character(g, 2)
-    rng = random.Random(12)
-    for _ in range(40):
-        x, y = rng.choice(g.elements), rng.choice(g.elements)
-        assert abs(rho.char(g.mul(x, y)) - rho.char(x) * rho.char(y)) < 1e-12
-
-
-def test_trivial_character():
-    g = borel_group(3, 1, 2)
-    rho = diagonal_character(g, 0)
-    assert all(rho.char(x) == 1 for x in g.elements)
-
-
 def test_induced_rep_dimension():
     g = borel_group(3, 1, 3)
     pi = induced_rep(g, 1)
@@ -87,8 +88,6 @@ def _matrix_reference(r, g):
     mod = q ** n
     a, b = g
     beta = next(e for e in range(q ** (n - k)) if pow(1 + q ** k, e, mod) == a)
-    if r.kind == "diag":
-        return (0,), (beta * r.j * q ** k % mod,)
     if r.kind == "character":
         return (0,), ((beta * r.j + b // q ** k * r.jp) * q ** (n - k) % mod,)
     if r.kind == "induced":
@@ -103,8 +102,8 @@ def _matrix_reference(r, g):
 
 def _kinds_inventory(q, k, n):
     g = borel_group(q, k, n)
-    irreps = list(irrep_inventory(g).irreps) + [diagonal_character(g, 2)]
-    assert {r.kind for r in irreps} >= {"diag", "induced", "lift"}
+    irreps = list(irrep_inventory(g).irreps)
+    assert {r.kind for r in irreps} >= {"induced", "lift"}
     return g, irreps
 
 
@@ -119,7 +118,7 @@ def test_every_irrep_is_a_homomorphism():
                 x, y = rng.choice(g.elements), rng.choice(g.elements)
                 lhs = r.matrix(g.mul(x, y))
                 assert lhs == monomial_mul(r.matrix(x), r.matrix(y), g.modulus)
-    assert kinds == {"diag", "character", "induced", "lift"}
+    assert kinds == {"character", "induced", "lift"}
 
 
 def test_batch_matrices_match_reference_rows():
@@ -139,7 +138,7 @@ def test_batch_matrices_reject_foreign_elements():
     g = borel_group(3, 1, 3)
     for a in (2, -26, 28):      # not a power of 4; 1 and 1 + 27 wrapped
         with pytest.raises(ValueError, match="power of 1"):
-            diagonal_character(g, 1).matrices([(1, 0), (a, 0)])
+            induced_rep(g, 1).matrices([(1, 0), (a, 0)])
 
 
 def test_mul_and_inv_reject_foreign_elements():
@@ -175,7 +174,7 @@ def test_irrep_unitary():
     rng = random.Random(14)
     for r in table.irreps:
         for _ in range(5):
-            m = r.dense(rng.choice(g.elements))
+            m = dense(r, rng.choice(g.elements))
             assert np.abs(m @ m.conj().T - np.eye(r.dim)).max() < 1e-10
 
 
@@ -215,7 +214,9 @@ def test_dimension_by_level():
     pi = induced_rep(g, 1)
     level, predicted = dimension_by_level(g, pi)
     assert (level, predicted) == (0, 3)
-    rho = diagonal_character(g, 1)
+    # the diagonal character of index 1, lifted from the trivial character
+    rho = next(r for r in irrep_inventory(g).irreps
+               if r.rep_id == "lift[char(c=0,d=0)]*diag(j=1)")
     level, predicted = dimension_by_level(g, rho)
     assert predicted == 1 and level == g.n - 2 * g.k
 
@@ -312,12 +313,3 @@ def test_dimension_law_at_shifted_parameters():
     pi = induced_rep(g6, 1)
     assert dimension_by_level(g6, pi) == (0, 9)
     assert pi.dim == 9
-
-
-def test_csv_export(tmp_path):
-    table = irrep_inventory(borel_group(3, 1, 3))
-    path = str(tmp_path / "table.csv")
-    export_character_table_csv(table, path)
-    rows = open(path).read().strip().splitlines()
-    assert rows[0] == "id,kind,j,jp,dimension,level"
-    assert len(rows) == 34

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 import textwrap
 
 import boxlab
@@ -49,3 +50,37 @@ def test_irrep_oracle_is_independent_of_the_inventory():
     used = names & {"Irrep", "CharacterTable", "_inventory", "matrices",
                      "characters"}
     assert not used, f"brute_force_irreps uses {sorted(used)}"
+
+
+def _definitions(tree):
+    """(name, line) of each top-level function and class, and of each
+    non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__", sub.name)):
+                    yield sub.name, sub.lineno
+
+
+def test_every_library_definition_is_read_outside_the_tests():
+    # a definition that only tests read is dead code with a test attached.
+    # criterion_feasibility is acceptance criterion 10: test_acceptance runs
+    # it, while the feasibility command calls min_feasible_level directly
+    exempt = {"criterion_feasibility"}
+    root = pathlib.Path(__file__).parents[1]
+    lines = [(path.name, lineno, line)
+             for path in sorted((root / "src").rglob("*.py"))
+             + sorted((root / "benchmarks").rglob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)]
+    unread = []
+    for path in sorted((root / "src" / "boxlab").glob("*.py")):
+        for name, lineno in _definitions(ast.parse(path.read_text())):
+            word = re.compile(rf"\b{name}\b")
+            if name not in exempt and not any(
+                    word.search(line) and (file, at) != (path.name, lineno)
+                    for file, at, line in lines):
+                unread.append(f"{path.name}:{lineno} {name}")
+    assert not unread, f"definitions only tests read: {unread}"

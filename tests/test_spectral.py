@@ -12,10 +12,10 @@ from boxlab.graphs import (Graph, complete, complete_bipartite, cycle, girth,
 from boxlab.suites import lps_cayley
 from boxlab.spectral import (POLISHED_RESIDUAL, LiftDecomposition, Spectrum,
                              eigenvalue_threshold, extreme_spectrum,
-                             lift_decomposition, nb_closed_walks_brute,
-                             nb_spectral_formula,
+                             lift_decomposition, nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
                              trace_inequality_audit, write_spectrum_csv)
+from conftest import adj, edges
 
 
 def test_c4_laplacian():
@@ -138,7 +138,7 @@ def test_lift_decomposition_cover_k4():
     assert np.allclose(combined, cover_lap, atol=1e-9)
     # relative eigenvectors sum to zero on every fiber
     for bv in range(4):
-        fiber = cover.fiber(bv)
+        fiber = [v for v, p in enumerate(cover.projection) if p == bv]
         sums = deco.relative_vectors[fiber, :].sum(axis=0)
         assert np.abs(sums).max() < 1e-8
 
@@ -229,12 +229,12 @@ def voltage_cover(h: Graph, f: int, voltages: dict, seed: int = 0):
     (v, voltages[(u, v)][s]) (the identity when absent), with its vertices
     shuffled; returns the cover and its fiber map."""
     relabel = np.random.default_rng(seed).permutation(h.n * f)
-    edges = [(relabel[u * f + s], relabel[v * f + pi[s]])
-             for u, v in h.edges()
-             for pi in [voltages.get((u, v), range(f))] for s in range(f)]
+    lifted = [(relabel[u * f + s], relabel[v * f + pi[s]])
+              for u, v in edges(h)
+              for pi in [voltages.get((u, v), range(f))] for s in range(f)]
     fiber_map = np.empty(h.n * f, dtype=np.int64)
     fiber_map[relabel] = np.arange(h.n * f) // f
-    return Graph.from_edges(h.n * f, edges), fiber_map.tolist()
+    return Graph.from_edges(h.n * f, lifted), fiber_map.tolist()
 
 
 def assert_matches_brute(g, h, fiber_map):
@@ -309,7 +309,7 @@ SMALL_REGULAR = [cycle(5), cycle(6), complete(4), complete(5),
 def test_lift_matches_brute_on_random_voltage_covers(data, base, f, seed):
     h = SMALL_REGULAR[base]
     voltages = {e: tuple(data.draw(st.permutations(range(f))))
-                for e in h.edges()}
+                for e in edges(h)}
     g, fiber_map = voltage_cover(h, f, voltages, seed=seed)
     assert_matches_brute(g, h, fiber_map)
 
@@ -351,6 +351,30 @@ def test_nb_trace_t0_and_girth_zeros():
     assert all(tr.exact[m] == 0 for m in range(1, 5))
     assert girth(g) == 5
     assert tr.exact[5] > 0
+
+
+def nb_closed_walks_brute(graph, m):
+    """Independent oracle: enumerate closed walks of length m with no
+    immediate reversal, summed over all start vertices."""
+    if m == 0:
+        return graph.n
+    nbrs = adj(graph)
+    total = 0
+
+    def extend(start: int, prev: int, cur: int, depth: int) -> int:
+        if depth == m:
+            return 1 if cur == start else 0
+        count = 0
+        for nxt in nbrs[cur]:
+            if nxt == prev:
+                continue
+            count += extend(start, cur, nxt, depth + 1)
+        return count
+
+    for s in range(graph.n):
+        for first in nbrs[s]:
+            total += extend(s, s, first, 1)
+    return total
 
 
 def test_nb_trace_matches_brute_walks():

@@ -58,6 +58,9 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.csv_dir and args.suite != "spectra":
+        print("boxlab pipeline: --csv-dir needs --suite spectra", file=sys.stderr)
+        return 2
     start = time.monotonic()
     criteria: dict[str, float] = {}
     results = run_suite(args.suite, seed=args.seed, timings=criteria)
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--timings", action="store_true",
                       help="include wall-clock timings in the report")
     pipe.add_argument("--csv-dir", default=None,
-                      help="also export eigenvalue CSV files here")
+                      help="export eigenvalue CSVs here; --suite spectra only")
     pipe.set_defaults(fn=cmd_pipeline)
     return parser
 

@@ -92,27 +92,27 @@ def _rescaled(graph: Graph, vectors: np.ndarray, name: str) -> LipschitzMap:
     return phi
 
 
-def spectral_maps(g: Graph, deco: LiftDecomposition, count: int = 2) -> list[LipschitzMap]:
-    """Embeddings along the bottom relative eigenvectors, rescaled to
+def spectral_maps(g: Graph, deco: LiftDecomposition) -> list[LipschitzMap]:
+    """Embeddings along the two bottom relative eigenvectors, rescaled to
     Lipschitz constant one."""
     out = []
-    for j in range(min(count, deco.relative_vectors.shape[1])):
+    for j in range(min(2, deco.relative_vectors.shape[1])):
         vec = deco.relative_vectors[:, j:j + 1]
         out.append(_rescaled(g, vec, f"relative-eigenvector-{j}"))
     return out
 
 
-def distance_map(g: Graph, base: int = 0) -> LipschitzMap:
-    dist = g.bfs_distances(base).astype(float).reshape(-1, 1)
-    return LipschitzMap(graph=g, vectors=dist, name=f"distance-to-{base}")
+def distance_map(g: Graph) -> LipschitzMap:
+    dist = g.bfs_distances(0).astype(float).reshape(-1, 1)
+    return LipschitzMap(graph=g, vectors=dist, name="distance-to-0")
 
 
-def random_sign_maps(g: Graph, seed: int = 0, count: int = 2,
-                     dim: int = 3) -> list[LipschitzMap]:
+def random_sign_maps(g: Graph, seed: int = 0) -> list[LipschitzMap]:
+    """Two maps to random signs in R^3, rescaled to Lipschitz constant one."""
     rng = np.random.default_rng(seed)
     out = []
-    for j in range(count):
-        vecs = rng.choice([-1.0, 1.0], size=(g.n, dim))
+    for j in range(2):
+        vecs = rng.choice([-1.0, 1.0], size=(g.n, 3))
         out.append(_rescaled(g, vecs, f"random-signs-{j}"))
     return out
 
@@ -128,16 +128,10 @@ class PoincareCertificate:
     passed: bool
     tolerance: float = LIPSCHITZ_SLACK
 
-    def to_json(self) -> dict:
-        return {"epsilon": self.epsilon, "C": self.C, "k": self.k,
-                "worst_map_id": self.worst_map, "worst_sum": self.worst_sum,
-                "pass": self.passed, "sums": list(self.sums),
-                "tolerance": self.tolerance}
-
 
 def certify_relative(g: Graph, h: Graph, fiber_map,
-                     deco: LiftDecomposition | None = None, seed: int = 0,
-                     extra_maps: list[LipschitzMap] | None = None) -> PoincareCertificate:
+                     deco: LiftDecomposition | None = None,
+                     seed: int = 0) -> PoincareCertificate:
     """Certificate C = 2k/eps from the relative gap: every suite map must
     have Poincare sum at most C.  Refused when the kernel is trivial or the
     relative gap vanishes."""
@@ -151,8 +145,6 @@ def certify_relative(g: Graph, h: Graph, fiber_map,
     c = 2 * k / deco.epsilon
     mu = KernelPairMeasure.from_fibers(fiber_map)
     maps = spectral_maps(g, deco) + [distance_map(g)] + random_sign_maps(g, seed)
-    if extra_maps:
-        maps.extend(extra_maps)
     sums = tuple((phi.name, poincare_sum(phi, mu)) for phi in maps)
     worst_map, worst_sum = max(sums, key=lambda t: t[1])
     return PoincareCertificate(epsilon=deco.epsilon, C=c, k=k, sums=sums,
@@ -205,10 +197,9 @@ class ExpanderBoundReport:
     violated: bool
 
 
-def expander_bound_check(cay: CayleyGraph, C: float,
-                         f: np.ndarray | None = None) -> ExpanderBoundReport:
+def expander_bound_check(cay: CayleyGraph, C: float) -> ExpanderBoundReport:
     """Whether the adversarial map breaks sum_{x,y} ||phi(x)-phi(y)||^2 <= C |G|^2."""
-    phi = adversarial_map(cay, f)
+    phi = adversarial_map(cay)
     stretch, edge = phi.lipschitz_defect()
     if stretch > 1 + LIPSCHITZ_SLACK:
         raise RuntimeError(f"adversarial map not Lipschitz: {stretch} on {edge}")

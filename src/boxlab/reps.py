@@ -23,9 +23,11 @@ import numpy as np
 
 from . import graphs
 from .errors import ResourceLimitError
-from .zmod import is_prime
+from .zmod import require_odd_prime
 
 Element = tuple[int, int]
+
+ORACLE_CAP = 1000
 
 
 @dataclass(eq=False)
@@ -72,8 +74,7 @@ class BorelGroup:
 
 def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
     """Full enumeration; the order is q^(2(n-k))."""
-    if not is_prime(q) or q % 2 == 0:
-        raise ValueError(f"q must be an odd prime, got {q}")
+    require_odd_prime(q)
     if not 0 < 2 * k <= n:
         raise ValueError(f"need 0 < 2k <= n, got k={k}, n={n}")
     order = q ** (2 * (n - k))
@@ -223,7 +224,7 @@ class CharacterTable:
         return out
 
 
-def irrep_inventory(group: BorelGroup, tolerance: float = 1e-9) -> CharacterTable:
+def irrep_inventory(group: BorelGroup) -> CharacterTable:
     """Full inventory with completeness and orthonormality audits; failure of
     either is a construction bug and raises."""
     irreps = tuple(_inventory(group))
@@ -235,7 +236,7 @@ def irrep_inventory(group: BorelGroup, tolerance: float = 1e-9) -> CharacterTabl
     chars = np.array([r.characters(group.elements) for r in irreps])
     gram = chars @ chars.conj().T / group.order
     defect = float(np.abs(gram - np.eye(len(irreps))).max())
-    if defect > tolerance:
+    if defect > 1e-9:
         raise RuntimeError(f"character orthonormality defect {defect}")
     return CharacterTable(group=group, irreps=irreps, char_matrix=chars,
                           gram_defect=defect)
@@ -277,8 +278,7 @@ def classify_all(table: CharacterTable) -> list[tuple[str, int, int]]:
 # --- numeric oracle -----------------------------------------------------------
 
 
-def brute_force_irreps(elements, mul, seed: int = 0, retries: int = 5,
-                       cap: int = 1000) -> dict[int, int]:
+def brute_force_irreps(elements, mul) -> dict[int, int]:
     """Irreducible dimensions with multiplicities, found by diagonalising a
     random self-adjoint operator commuting with the left regular
     representation.  Eigenvalue multiplicities of such an operator are the
@@ -289,8 +289,8 @@ def brute_force_irreps(elements, mul, seed: int = 0, retries: int = 5,
     tree; ValueError if mul disagrees on a spot-checked row or is not closed."""
     elements = list(elements)
     size = len(elements)
-    if size > cap:
-        raise ResourceLimitError(f"group order {size} exceeds cap {cap}")
+    if size > ORACLE_CAP:
+        raise ResourceLimitError(f"group order {size} exceeds cap {ORACLE_CAP}")
     columns = graphs.generator_table(elements, mul, elements[:1])[1]
     # the identity x is the one with x * elements[0] = elements[0]
     identity = int(graphs.inverse_permutations(columns)[0, 0])
@@ -318,8 +318,8 @@ def brute_force_irreps(elements, mul, seed: int = 0, retries: int = 5,
     for v in range(size):       # rows in place, no second table
         table[:, v] = table[inv, v]         # now [j, i] = idx(e_j^-1 e_i)
 
-    for attempt in range(retries):
-        rng = np.random.default_rng(seed + attempt)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
         y = np.zeros(size, dtype=complex)
         for i in range(size):
             if y[i] != 0:

@@ -22,7 +22,8 @@ from .reps import borel_group, brute_force_irreps, classify_all, irrep_inventory
 from .spectral import (extreme_spectrum, lift_decomposition,
                        nb_spectral_formula, nb_trace, ramanujan_check,
                        spectrum, trace_inequality_audit)
-from .zmod import LpsParams, find_admissible_q, is_prime, sqrt_hensel
+from .zmod import (LpsParams, find_admissible_q, is_prime, require_odd_prime,
+                   sqrt_hensel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,8 +366,7 @@ def min_feasible_level(q: int, k: int) -> dict:
     """Smallest admissible depth for the size condition, with the implied
     quotient-order magnitude showing it is far beyond desk scale.
     ValueError unless q is an odd prime and k >= 1."""
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
+    require_odd_prime(q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     margin = 3 * k + 3 + 2 * q ** (3 * k + 1)

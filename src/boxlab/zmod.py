@@ -1,8 +1,9 @@
-"""Exact arithmetic mod q^n and 2*q^n: square-root lifting and admissible primes.
+"""Exact arithmetic mod q^n: square-root lifting and admissible primes.
 
-Square roots modulo a prime come from Tonelli-Shanks; roots modulo prime
-powers are lifted level by level with the update a = b - t*c*q^(j-1) where
-t inverts 2b mod q.  All integers are arbitrary precision.
+A square root mod q^n is one Hensel lift: the smaller root mod q, found by
+Tonelli-Shanks, is lifted level by level with the update
+a = b - t*c*q^(j-1), where t inverts 2b mod q.  All integers are arbitrary
+precision.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_odd_prime(q: int) -> None:
+def require_odd_prime(q: int) -> None:
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
 
@@ -68,11 +69,23 @@ def _sqrt_mod_prime(u: int, q: int) -> int:
     return r
 
 
-def _hensel_step(r: int, u: int, q: int, prev: int) -> int:
-    """Lift a root r of x^2 = u mod prev = q^(j-1) to a root mod q^j."""
-    c = (r * r - u) // prev          # r^2 = u + c * q^(j-1)
-    t = pow(2 * r % q, -1, q)
-    return (r - t * c * prev) % (prev * q)
+def _lift(u: int, q: int, n: int) -> int | None:
+    """The root of x^2 = u mod q^n that reduces to the smaller root mod q,
+    or None when u is a non-residue mod q.  Lifts of one start are prefixes
+    of each other, so the roots at successive levels reduce onto each other."""
+    if not is_square_mod_q(u, q):
+        return None
+    r = _sqrt_mod_prime(u, q)
+    r = min(r, q - r)
+    t = pow(2 * r, -1, q)            # r is fixed mod q, so t is too
+    modulus = q
+    for _ in range(1, n):
+        c = (r * r - u) // modulus   # r^2 = u + c * q^(j-1)
+        r = (r - t * c * modulus) % (modulus * q)
+        modulus *= q
+    if (r * r - u) % modulus:
+        raise RuntimeError(f"{r}^2 != {u} mod {modulus}")
+    return r
 
 
 def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
@@ -81,38 +94,17 @@ def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
     Returns (r, q^n - r) with the canonical root r in [1, q^n / 2].  The pair
     is the complete solution set.  u divisible by q is unsupported.
     """
-    _require_odd_prime(q)
+    require_odd_prime(q)
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if u % q == 0:
         raise ValueError("u divisible by q is unsupported")
-    if not is_square_mod_q(u, q):
+    r = _lift(u, q, n)
+    if r is None:
         return None
-    r = _sqrt_mod_prime(u, q)
-    modulus = q
-    for _ in range(2, n + 1):
-        r = _hensel_step(r, u, q, modulus)
-        modulus *= q
-    if (r * r - u) % modulus:
-        raise RuntimeError(f"{r}^2 != {u} mod {modulus}")
+    modulus = q ** n
     r = min(r, modulus - r)
     return r, modulus - r
-
-
-def sqrt_hensel_even(u: int, q: int, n: int) -> int | None:
-    """Canonical square root of u modulo 2*q^n, or None when none exists.
-
-    Every root is u mod 2, so the roots mod 2*q^n are, by CRT, the member of
-    the ``sqrt_hensel`` pair (r, q^n - r) with the parity of u and its
-    negative; the member is below q^n, so it is the canonical one.
-    """
-    pair = sqrt_hensel(u, q, n)
-    if pair is None:
-        return None
-    r = pair[0] if (pair[0] - u) % 2 == 0 else pair[1]
-    if (r * r - u) % (2 * q ** n):
-        raise RuntimeError(f"{r}^2 != {u} mod {2 * q ** n}")
-    return r
 
 
 def find_admissible_q(lo: int, hi: int) -> list[int]:
@@ -125,7 +117,8 @@ def find_admissible_q(lo: int, hi: int) -> list[int]:
     for q in range(max(3, lo), hi + 1):
         if q % 2 == 0 or not is_prime(q) or 5 % q == 0:
             continue
-        if is_square_mod_q(-1, q) and sqrt_hensel_even(5, q, 1) is not None:
+        # every odd number is a square mod 2, so by CRT mod 2q is mod q
+        if is_square_mod_q(-1, q) and is_square_mod_q(5, q):
             out.append(q)
     return out
 
@@ -133,25 +126,15 @@ def find_admissible_q(lo: int, hi: int) -> list[int]:
 def sqrt_minus_one_chain(q: int, nmax: int) -> tuple[int, ...]:
     """Compatible square roots of -1: eps_n^2 = -1 mod q^n, eps_n = eps_{n-1} mod q^(n-1).
 
-    Deterministic: starts from the smallest root mod q and lifts without
-    re-normalising, so successive entries reduce onto each other.
+    Deterministic: each entry is the lift of the smaller root mod q, not
+    re-normalised, so successive entries reduce onto each other.
     """
-    _require_odd_prime(q)
+    require_odd_prime(q)
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    base = sqrt_hensel(-1, q, 1)
-    if base is None:
+    if not is_square_mod_q(-1, q):
         raise NoResidueError(f"-1 is not a square mod {q}")
-    r = base[0]
-    chain = [r]
-    modulus = q
-    for _ in range(2, nmax + 1):
-        r = _hensel_step(r, -1, q, modulus)
-        modulus *= q
-        if (r * r + 1) % modulus:
-            raise RuntimeError(f"{r}^2 != -1 mod {modulus}")
-        chain.append(r)
-    return tuple(chain)
+    return tuple(_lift(-1, q, j) for j in range(1, nmax + 1))
 
 
 @dataclass(frozen=True)
@@ -163,17 +146,15 @@ class LpsParams:
     chain: tuple[int, ...]
 
     @classmethod
-    def build(cls, q: int, nmax: int, p: int = 5) -> "LpsParams":
-        if p % 4 != 1 or not is_prime(p):
-            raise ValueError(f"p must be a prime = 1 mod 4, got {p}")
-        _require_odd_prime(q)
-        if q == p:
+    def build(cls, q: int, nmax: int) -> "LpsParams":
+        require_odd_prime(q)
+        if q == 5:
             raise ValueError("q must differ from p")
         if not is_square_mod_q(-1, q):
             raise NoResidueError(f"-1 is not a square mod {q}")
-        if sqrt_hensel_even(p, q, 1) is None:
-            raise NoResidueError(f"{p} is not a square mod {2 * q}")
-        return cls(p=p, q=q, chain=sqrt_minus_one_chain(q, nmax))
+        if not is_square_mod_q(5, q):       # so mod 2q too, by CRT
+            raise NoResidueError(f"5 is not a square mod {2 * q}")
+        return cls(p=5, q=q, chain=sqrt_minus_one_chain(q, nmax))
 
     def epsilon(self, n: int) -> int:
         if not 1 <= n <= len(self.chain):

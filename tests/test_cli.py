@@ -114,6 +114,17 @@ def test_cli_csv_export(tmp_path):
         assert len(rows) > 1
 
 
+def test_cli_csv_dir_needs_spectra_suite(tmp_path, capsys):
+    # the CSV files are the spectra suite's lift pairs; no other suite
+    # computes them, so a report that listed them would misdescribe the run
+    out, csv_dir = tmp_path / "r.json", tmp_path / "csv"
+    assert main(["pipeline", "--suite", "hensel", "--out", str(out),
+                 "--csv-dir", str(csv_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--suite spectra" in err
+    assert not out.exists() and not csv_dir.exists()
+
+
 def test_cli_rejects_removed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--suite", "hensel", "--mode", "extreme"])

@@ -10,7 +10,8 @@ from boxlab.errors import ResourceLimitError
 from boxlab.graphs import (Graph, complete, complete_bipartite, cycle, girth,
                            homology_cover, petersen)
 from boxlab.suites import lps_cayley
-from boxlab.spectral import (POLISHED_RESIDUAL, LiftDecomposition, Spectrum,
+from boxlab.spectral import (POLISHED_RESIDUAL, ExtremeSpectrum,
+                             LiftDecomposition, Spectrum,
                              eigenvalue_threshold, extreme_spectrum,
                              lift_decomposition, nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
@@ -76,16 +77,43 @@ def test_ramanujan_disconnected_rejected():
         ramanujan_check(g, None)
 
 
-def test_extreme_mode_matches_dense():
+def _worst_by_removal(spec, bipartite):
+    """Largest nontrivial |eigenvalue|, read the long way: drop k, and -k on
+    a bipartite graph, from the dense list, or take both Krylov extremes."""
+    if isinstance(spec, ExtremeSpectrum):
+        return max([spec.second_largest]
+                   + ([] if bipartite else [-spec.smallest]))
+    values = list(spec.adjacency_values())
+    values.remove(max(values))
+    if bipartite:
+        values.remove(min(values))
+    return max((abs(v) for v in values), default=0.0)
+
+
+def test_extreme_mode_matches_dense(corpus_cover):
     # on K_n every nontrivial eigenvalue is -1, below the constant's 0
-    for g in (petersen(), complete(5), complete(8), cycle(5),
-              complete_bipartite(4, 4)):
-        ext = extreme_spectrum(g)
-        dense = sorted(spectrum(g).values)
-        assert abs(ext.second_largest - dense[-2]) < 1e-7
-        assert abs(ext.smallest - dense[0]) < 1e-7
-        assert ext.residual_second <= 1e-7 * g.k
-        assert ext.residual_smallest <= 1e-7 * g.k
+    covers = [corpus_cover(name, m).graph
+              for name in ("K4", "C6", "K33", "petersen") for m in (2, 3)
+              if (name, m) != ("petersen", 3)]      # 7,290 vertices
+    for g in [petersen(), complete(5), complete(8), cycle(5),
+              complete_bipartite(4, 4), complete(2), complete(4), complete(7),
+              cycle(7), cycle(12), complete_bipartite(3, 3)] + covers:
+        dense = spectrum(g)
+        specs = [dense]
+        if g.n >= 4:
+            ext = extreme_spectrum(g)
+            assert abs(ext.second_largest - dense.values[-2]) < 1e-7
+            assert abs(ext.smallest - dense.values[0]) < 1e-7
+            assert ext.residual_second <= 1e-7 * g.k
+            assert ext.residual_smallest <= 1e-7 * g.k
+            specs.append(ext)
+        for spec in specs:
+            cert = ramanujan_check(g, spec)
+            worst = _worst_by_removal(spec, cert.bipartite)
+            assert cert.margin == cert.bound - worst
+            assert cert.passed == (worst <= cert.bound + cert.tolerance)
+        if g.n == 2:
+            assert cert.margin == cert.bound
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -432,13 +460,6 @@ def test_trace_audit_cosh_bound():
     outside = trace_inequality_audit({0: 1}, 7, tr, top_eigenvalue=6.0)
     assert outside.psi > 0
     assert abs(outside.cosh_bound - 6.0) < 1e-12   # 2 sqrt(5) cosh(psi) = mu
-
-
-def test_ramanujan_certificate_json():
-    cert = ramanujan_check(petersen(), spectrum(petersen()))
-    blob = cert.to_json()
-    assert set(blob) >= {"k", "bound", "passed", "margin", "tolerance"}
-    assert blob["passed"] is True
 
 
 def test_write_spectrum_csv(tmp_path):

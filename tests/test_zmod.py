@@ -4,7 +4,7 @@ import pytest
 
 from boxlab.errors import NoResidueError
 from boxlab.zmod import (LpsParams, find_admissible_q, is_prime, is_square_mod_q,
-                         sqrt_hensel, sqrt_hensel_even, sqrt_minus_one_chain)
+                         sqrt_hensel, sqrt_minus_one_chain)
 
 PRIMES_TO_50 = [q for q in range(3, 51) if is_prime(q)]
 
@@ -79,33 +79,6 @@ def test_sqrt_hensel_solution_set_complete_small_moduli():
                     assert sorted(pair) == expected
 
 
-def test_sqrt_hensel_even_examples():
-    r = sqrt_hensel_even(5, 29, 1)
-    assert r is not None and r * r % 58 == 5
-    assert sqrt_hensel_even(1, 29, 2) == 1
-    # 5 is not a square mod 13 by enumeration
-    assert 5 not in {x * x % 13 for x in range(13)}
-    assert sqrt_hensel_even(5, 13, 1) is None
-
-
-def test_sqrt_hensel_even_brute_cross_check():
-    rng = random.Random(1)
-    for _ in range(100):
-        q = rng.choice([3, 5, 7, 11, 13])
-        n = rng.randint(1, 4)
-        u = rng.randrange(1, 2 * q ** n)
-        if u % q == 0:
-            continue
-        modulus = 2 * q ** n
-        r = sqrt_hensel_even(u, q, n)
-        expected = brute_roots(u % modulus, modulus)
-        if r is None:
-            assert expected == []
-        else:
-            assert r in expected
-            assert r * r % modulus == u % modulus
-
-
 def test_find_admissible_q():
     found = find_admissible_q(3, 30)
     assert 29 in found
@@ -115,7 +88,9 @@ def test_find_admissible_q():
 
 
 def test_admissible_verdicts_brute_force():
-    for q in PRIMES_TO_50:
+    for q in range(3, 500):
+        if not is_prime(q):
+            continue
         if q == 5:
             continue
         minus_one = (q - 1) in {x * x % q for x in range(q)}
@@ -139,6 +114,10 @@ def test_epsilon_chain_coherence():
             assert (chain[n - 1] ** 2 + 1) % q ** n == 0
         for n in range(2, 7):
             assert chain[n - 1] % q ** (n - 1) == chain[n - 2]
+    for q in find_admissible_q(3, 99):
+        chain = sqrt_minus_one_chain(q, 6)
+        for j in range(1, 7):
+            assert chain[j - 1] ** 2 % q ** j == q ** j - 1
 
 
 def test_lps_params():

@@ -87,7 +87,7 @@ def _first_imag_sign(x: Quat) -> int:
 
 # --- counting three-square representations -------------------------------
 
-_R2_TABLE = None  # cumulative table of r2(v) = #{(a, b) in Z^2 : a^2 + b^2 = v}
+_R2_TABLE = None  # table of r2(v) = #{(a, b) in Z^2 : a^2 + b^2 = v}
 
 
 def _r2_upto(limit: int):
@@ -117,12 +117,12 @@ def count_three_squares(x: int) -> int:
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1
+    import numpy as np
+
     table = _r2_upto(x)
-    total = 0
-    for c in range(math.isqrt(x) + 1):
-        wc = 2 if c else 1
-        total += wc * int(table[x - c * c])
-    return total
+    c = np.arange(math.isqrt(x) + 1, dtype=np.int64)
+    weights = np.where(c > 0, 2, 1)
+    return int(weights @ table[x - c * c])
 
 
 def loop_count_quat(n: int, m: int, q: int) -> int:
@@ -151,6 +151,7 @@ def loop_count_quat(n: int, m: int, q: int) -> int:
         ]
     total = 0
     divisor = 4 * qq
+    _r2_upto(5 ** m // divisor)      # one table holds every rem // divisor
     for a in candidates:
         rem = 5 ** m - a * a
         if rem < 0:

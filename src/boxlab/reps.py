@@ -28,6 +28,7 @@ from .zmod import require_odd_prime
 Element = tuple[int, int]
 
 ORACLE_CAP = 1000
+GROUP_CAP = 10 ** 6
 
 
 @dataclass(eq=False)
@@ -72,14 +73,14 @@ class BorelGroup:
         return (self._unit_inverse(a), -b % self.modulus)
 
 
-def borel_group(q: int, k: int, n: int, cap: int = 10 ** 6) -> BorelGroup:
+def borel_group(q: int, k: int, n: int) -> BorelGroup:
     """Full enumeration; the order is q^(2(n-k))."""
     require_odd_prime(q)
     if not 0 < 2 * k <= n:
         raise ValueError(f"need 0 < 2k <= n, got k={k}, n={n}")
     order = q ** (2 * (n - k))
-    if order > cap:
-        raise ResourceLimitError(f"group order {order} exceeds cap {cap}")
+    if order > GROUP_CAP:
+        raise ResourceLimitError(f"group order {order} exceeds cap {GROUP_CAP}")
     mod = q ** n
     gen = 1 + q ** k
     powers = [1]

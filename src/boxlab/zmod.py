@@ -2,12 +2,22 @@
 
 A square root mod q^n is one Hensel lift: the smaller root mod q, found by
 Tonelli-Shanks, is lifted level by level with the update
-a = b - t*c*q^(j-1), where t inverts 2b mod q.  All integers are arbitrary
-precision.
+a = b - t*(b^2 - u) mod q^j, where b^2 - u = c*q^(j-1) and t inverts 2b
+mod q.  All integers are arbitrary precision.
+
+Two facts depend only on q or only on u mod q, and are memoised in bounded
+``lru_cache``s of ``CACHE_SIZE`` entries: that q passes ``require_odd_prime``,
+and the start of the lift, i.e. the smaller root r mod q with t = (2r)^-1
+mod q, or "non-residue".  A sweep over many u and levels then pays one trial
+division per q, and one Euler test and one Tonelli-Shanks root per residue
+class.  ``lru_cache`` never caches an exception, so a bad q raises on every
+call.  The lift itself is not cached, and its final check r^2 = u mod q^n
+still runs on every call: it guards the cached start as well as the loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import NoResidueError
@@ -26,6 +36,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)     # caches passes; a failure re-raises
 def require_odd_prime(q: int) -> None:
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
@@ -69,20 +83,29 @@ def _sqrt_mod_prime(u: int, q: int) -> int:
     return r
 
 
-def _lift(u: int, q: int, n: int) -> int | None:
-    """The root of x^2 = u mod q^n that reduces to the smaller root mod q,
-    or None when u is a non-residue mod q.  Lifts of one start are prefixes
-    of each other, so the roots at successive levels reduce onto each other."""
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _start(u: int, q: int) -> tuple[int, int] | None:
+    """The smaller root r of x^2 = u mod q and t = (2r)^-1 mod q, or None
+    when u is a non-residue; u is taken already reduced mod q."""
     if not is_square_mod_q(u, q):
         return None
     r = _sqrt_mod_prime(u, q)
     r = min(r, q - r)
-    t = pow(2 * r, -1, q)            # r is fixed mod q, so t is too
+    return r, pow(2 * r, -1, q)      # r is fixed mod q, so t is too
+
+
+def _lift(u: int, q: int, n: int) -> int | None:
+    """The root of x^2 = u mod q^n that reduces to the smaller root mod q,
+    or None when u is a non-residue mod q.  Lifts of one start are prefixes
+    of each other, so the roots at successive levels reduce onto each other."""
+    start = _start(u % q, q)
+    if start is None:
+        return None
+    r, t = start
     modulus = q
     for _ in range(1, n):
-        c = (r * r - u) // modulus   # r^2 = u + c * q^(j-1)
-        r = (r - t * c * modulus) % (modulus * q)
         modulus *= q
+        r = (r - t * (r * r - u)) % modulus   # q^(j-1) divides r^2 - u
     if (r * r - u) % modulus:
         raise RuntimeError(f"{r}^2 != {u} mod {modulus}")
     return r
@@ -103,8 +126,8 @@ def sqrt_hensel(u: int, q: int, n: int) -> tuple[int, int] | None:
     if r is None:
         return None
     modulus = q ** n
-    r = min(r, modulus - r)
-    return r, modulus - r
+    s = modulus - r
+    return (r, s) if r < s else (s, r)
 
 
 def find_admissible_q(lo: int, hi: int) -> list[int]:
@@ -150,11 +173,10 @@ class LpsParams:
         require_odd_prime(q)
         if q == 5:
             raise ValueError("q must differ from p")
-        if not is_square_mod_q(-1, q):
-            raise NoResidueError(f"-1 is not a square mod {q}")
+        chain = sqrt_minus_one_chain(q, nmax)   # raises for -1 first
         if not is_square_mod_q(5, q):       # so mod 2q too, by CRT
             raise NoResidueError(f"5 is not a square mod {2 * q}")
-        return cls(p=5, q=q, chain=sqrt_minus_one_chain(q, nmax))
+        return cls(p=5, q=q, chain=chain)
 
     def epsilon(self, n: int) -> int:
         if not 1 <= n <= len(self.chain):

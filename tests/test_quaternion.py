@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from boxlab import quaternion
 from boxlab.quaternion import (Quat, count_three_squares, loop_count_quat,
                                quaternion_generators)
 from conftest import ONE, canonical_class, word_to_class
@@ -117,6 +118,25 @@ def test_loop_count_quat_norm_one():
 def test_loop_count_quat_rejects_odd():
     with pytest.raises(ValueError):
         loop_count_quat(1, 3, 29)
+
+
+def test_loop_count_quat_builds_the_r2_table_once(monkeypatch):
+    # the remainders grow along the loop; one table sized for the largest
+    # serves them all
+    monkeypatch.setattr(quaternion, "_R2_TABLE", None)
+    build = quaternion._r2_upto
+    built = []
+
+    def counting(limit):
+        before = quaternion._R2_TABLE
+        table = build(limit)
+        if table is not before:
+            built.append(limit)
+        return table
+
+    monkeypatch.setattr(quaternion, "_r2_upto", counting)
+    assert loop_count_quat(0, 8, 29) == 976562
+    assert len(built) <= 1
 
 
 def test_loop_count_quat_brute_cross_check():

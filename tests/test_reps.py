@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from boxlab.reps import (borel_group, brute_force_irreps, classify_all,
+from boxlab.errors import ResourceLimitError
+from boxlab.reps import (GROUP_CAP, borel_group, brute_force_irreps, classify_all,
                          dimension_by_level, induced_rep, irrep_inventory)
 
 
@@ -36,6 +37,14 @@ def test_borel_orders():
     assert borel_group(3, 1, 2).order == 9
     assert borel_group(3, 1, 3).order == 81
     assert borel_group(5, 1, 2).order == 25
+
+
+def test_borel_group_order_cap():
+    # 47^4 = 4,879,681 elements; the cap is checked before any is built
+    assert GROUP_CAP == 10 ** 6
+    with pytest.raises(ResourceLimitError,
+                       match="^group order 4879681 exceeds cap 1000000$"):
+        borel_group(47, 1, 3)
 
 
 def test_borel_group_axioms():

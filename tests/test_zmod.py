@@ -1,8 +1,12 @@
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxlab.errors import NoResidueError
+from boxlab.reps import borel_group
 from boxlab.zmod import (LpsParams, find_admissible_q, is_prime, is_square_mod_q,
                          sqrt_hensel, sqrt_minus_one_chain)
 
@@ -11,6 +15,27 @@ PRIMES_TO_50 = [q for q in range(3, 51) if is_prime(q)]
 
 def brute_roots(u, modulus):
     return sorted(r for r in range(modulus) if (r * r - u) % modulus == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def square_table(modulus):
+    """Every root of each square mod modulus, in increasing order."""
+    table = {}
+    for r in range(modulus):
+        table.setdefault(r * r % modulus, []).append(r)
+    return table
+
+
+@st.composite
+def hensel_cases(draw):
+    q = draw(st.sampled_from(PRIMES_TO_50))
+    top = 1
+    while q ** (top + 1) <= 2 * 10 ** 4:
+        top += 1
+    n = draw(st.integers(1, top))
+    u = draw(st.integers())
+    assume(u % q)
+    return u, q, n
 
 
 def test_sqrt_hensel_minus_one_mod_25():
@@ -37,6 +62,36 @@ def test_sqrt_hensel_rejects_bad_parameters():
         sqrt_hensel(2, 9, 1)
     with pytest.raises(ValueError):
         sqrt_hensel(10, 5, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(hensel_cases())
+def test_sqrt_hensel_is_the_square_table_solution_set(case):
+    # any u prime to q, negative or past q^n; the second call reads the
+    # memoised start that the first one left
+    u, q, n = case
+    expected = square_table(q ** n).get(u % q ** n, [])
+    for _ in range(2):
+        pair = sqrt_hensel(u, q, n)
+        if pair is None:
+            assert expected == []
+        else:
+            assert list(pair) == expected
+
+
+def test_bad_parameters_raise_on_every_call():
+    # the memoised checks cache results, not exceptions
+    assert sqrt_hensel(4, 7, 3) == (2, 341)
+    borel_group(3, 1, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd prime, got 9"):
+            sqrt_hensel(2, 9, 1)
+        with pytest.raises(ValueError, match="odd prime, got 9"):
+            borel_group(9, 1, 2)
+        with pytest.raises(ValueError, match="divisible by q"):
+            sqrt_hensel(10, 5, 2)
+        with pytest.raises(ValueError, match="divisible by q"):
+            sqrt_hensel(-7, 7, 1)
 
 
 def test_sqrt_hensel_squares_back_randomized():
@@ -124,7 +179,8 @@ def test_lps_params():
     params = LpsParams.build(29, 3)
     assert params.p == 5
     assert params.epsilon(1) == 12
-    with pytest.raises(NoResidueError):
-        LpsParams.build(13, 2)   # 5 not a square mod 26
-    with pytest.raises(NoResidueError):
-        LpsParams.build(3, 2)    # -1 not a square mod 3
+    with pytest.raises(NoResidueError, match="^5 is not a square mod 26$"):
+        LpsParams.build(13, 2)
+    # -1 is tested first, so 3 fails on it although 5 is no square mod 6
+    with pytest.raises(NoResidueError, match="^-1 is not a square mod 3$"):
+        LpsParams.build(3, 2)

@@ -226,27 +226,31 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
 @dataclass(eq=False)
 class CayleyGraph:
     """A Cayley graph with its group kept as a generator table: element i
-    times generator j is element table[i, j], and parent/via hold a BFS tree
-    from the identity, so every element has a word in the generators."""
+    times generator j is element table[i, j], and order/parent/via are
+    ``bfs_tree``'s from the identity, order[0], so every element is a word."""
 
     graph: Graph
     elements: list
-    identity_index: int
     table: np.ndarray = field(repr=False)
-    parent: list[int] = field(repr=False)
-    via: list[int] = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    via: np.ndarray = field(repr=False)
 
-    def right_translation(self, z: int) -> np.ndarray:
-        """The permutation x -> x * z of the element indices, walked along
-        the generator word of z in the BFS tree."""
-        word = []
-        while z != self.identity_index:
-            word.append(self.via[z])
-            z = self.parent[z]
-        perm = np.arange(self.graph.n)
-        for j in reversed(word):
-            perm = self.table[perm, j]
-        return perm
+
+def tree_products(columns: np.ndarray, order: np.ndarray, parent: np.ndarray,
+                  via: np.ndarray) -> np.ndarray:
+    """Column i maps each row x of a generator table to x * order[i], in the
+    narrowest type that holds a row index.  Each tree vertex is its parent
+    times the generator of column via; order starts at the identity and
+    lists each vertex after its parent, as bfs_tree's order and prefixes do."""
+    position = np.empty(len(parent), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    products = np.empty((len(columns), len(order)),
+                        dtype=np.min_scalar_type(len(columns)), order="F")
+    products[:, 0] = np.arange(len(columns))
+    for i, v in enumerate(order[1:].tolist(), 1):
+        products[:, i] = columns[products[:, position[parent[v]]], via[v]]
+    return products
 
 
 def cayley_graph(elements: Sequence[Hashable], mul: Callable,
@@ -296,8 +300,8 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
             f"{len(order)} of {len(elements)}")
     graph = Graph(n=len(elements), indptr=indptr,
                   indices=np.sort(table, axis=1).ravel(), vertex_transitive=True)
-    return CayleyGraph(graph=graph, elements=elements, identity_index=ident,
-                       table=table, parent=parent.tolist(), via=via.tolist())
+    return CayleyGraph(graph=graph, elements=elements, table=table,
+                       order=order, parent=parent, via=via)
 
 
 # --- girth ----------------------------------------------------------------
@@ -324,11 +328,13 @@ def girth(graph: Graph) -> float:
 
 # --- spanning trees and homology covers ------------------------------------
 
+COVER_CAP = 500_000     # vertices of the largest homology cover built
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SpanningTreeData:
-    tree_edges: frozenset[tuple[int, int]]
-    non_tree_edges: tuple[tuple[int, int], ...]  # position is the edge index
+    tree_edges: np.ndarray       # (n - 1, 2) int64, u < v, lexicographic
+    non_tree_edges: np.ndarray   # (rank, 2) int64; row j is edge index j
     rank: int
 
 
@@ -338,24 +344,24 @@ def spanning_tree(graph: Graph) -> SpanningTreeData:
     order, parent, _, _ = bfs_tree(graph.indptr, graph.indices, 0)
     if len(order) < graph.n:
         raise ValueError("graph must be connected")
-    child = order[1:]
-    tree = frozenset(zip(np.minimum(child, parent[child]).tolist(),
-                         np.maximum(child, parent[child]).tolist()))
     src, dst = graph.arcs()
-    keep = (src < dst) & (parent[dst] != src) & (parent[src] != dst)
-    non_tree = tuple(zip(src[keep].tolist(), dst[keep].tolist()))
+    edges = np.stack([src, dst], axis=1)[src < dst]      # lexicographic
+    in_tree = (parent[edges[:, 1]] == edges[:, 0]) \
+        | (parent[edges[:, 0]] == edges[:, 1])
+    non_tree = edges[~in_tree]
     rank = graph.num_edges - graph.n + 1
     if len(non_tree) != rank:
         raise RuntimeError(
             f"{len(non_tree)} non-tree edges, expected rank {rank}")
-    return SpanningTreeData(tree_edges=tree, non_tree_edges=non_tree, rank=rank)
+    return SpanningTreeData(tree_edges=edges[in_tree], non_tree_edges=non_tree,
+                            rank=rank)
 
 
 @dataclass(eq=False)
 class CoverGraph:
     graph: Graph
     base: Graph
-    projection: tuple[int, ...]
+    projection: np.ndarray       # int64 base vertex of each cover vertex
     m: int
     rank: int
     tree: SpanningTreeData
@@ -372,9 +378,10 @@ class CoverGraph:
         return (shifted[:, None] * n + np.arange(n)).ravel().tolist()
 
 
-def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
+def homology_cover(graph: Graph, m: int) -> CoverGraph:
     """The m-fold homology cover: one copy of the spanning tree per element
-    of Z_m^r, non-tree edge j connecting block a to block a + unit_j.
+    of Z_m^r, non-tree edge j connecting block a to block a + unit_j;
+    ResourceLimitError above COVER_CAP vertices.
 
     The cover belongs to the characteristic subgroup pi1^m [pi1, pi1], so
     every automorphism of the base lifts, and with the deck group transitive
@@ -385,39 +392,64 @@ def homology_cover(graph: Graph, m: int, cap: int = 500_000) -> CoverGraph:
     r = tree.rank
     n_blocks = m ** r
     total = n_blocks * graph.n
-    if total > cap:
-        raise ResourceLimitError(f"cover would have {total} > {cap} vertices")
+    if total > COVER_CAP:
+        raise ResourceLimitError(
+            f"cover would have {total} > {COVER_CAP} vertices")
     n = graph.n
     block = np.arange(n_blocks)[:, None]
     weights = m ** np.arange(r)
     digit = block // weights % m
     target = block + ((digit + 1) % m - digit) * weights
-    tree_edges = np.array(sorted(tree.tree_edges), dtype=np.int64).reshape(-1, 2)
-    non_tree = np.array(tree.non_tree_edges, dtype=np.int64).reshape(-1, 2)
+    non_tree = tree.non_tree_edges
     edges = np.concatenate([
-        (block[:, :, None] * n + tree_edges).reshape(-1, 2),
+        (block[:, :, None] * n + tree.tree_edges).reshape(-1, 2),
         np.stack([block * n + non_tree[:, 0], target * n + non_tree[:, 1]],
                  axis=-1).reshape(-1, 2)])
     cover = Graph.from_edges(total, edges,
                              vertex_transitive=graph.vertex_transitive)
-    projection = tuple(np.tile(np.arange(n), n_blocks).tolist())
-    return CoverGraph(graph=cover, base=graph, projection=projection, m=m,
+    return CoverGraph(graph=cover, base=graph,
+                      projection=np.tile(np.arange(n), n_blocks), m=m,
                       rank=r, tree=tree)
 
 
+def fibers(projection, base_n: int) -> np.ndarray:
+    """(base_n, f) int64 array, row b the vertices over base vertex b in
+    ascending order; ValueError unless onto range(base_n) with equal fibers."""
+    proj = np.asarray(projection, dtype=np.int64)
+    if not np.array_equal(np.unique(proj), np.arange(base_n)):
+        raise ValueError("fiber map must be onto the base vertex set")
+    sizes = set(np.bincount(proj).tolist())
+    if len(sizes) != 1:
+        raise ValueError(f"fibers must have constant size, got {sizes}")
+    return np.argsort(proj, kind="stable").reshape(base_n, -1)
+
+
+def covering_neighbours(g: Graph, h: Graph, projection) -> np.ndarray:
+    """int64 array aligned with g.indices whose entry g.indptr[u] + j is the
+    neighbour of u over the j-th neighbour of its base vertex; ValueError
+    unless each vertex has exactly one neighbour over each base neighbour."""
+    proj = np.asarray(projection, dtype=np.int64)
+    if np.array_equal(g.degrees(), h.degrees()[proj]):
+        src, dst = g.arcs()
+        # arc i of u is slot i - indptr[u] of the base row of proj[u]
+        wanted = h.indices[h.indptr[proj[src]] + np.arange(len(src))
+                           - g.indptr[src]]
+        key = src * h.n + proj[dst]
+        by_base = np.argsort(key, kind="stable")
+        if np.array_equal(key[by_base], src * h.n + wanted):
+            return dst[by_base]
+    raise ValueError("a vertex does not have exactly one neighbour over "
+                     "each base neighbour; fiber map is not a covering "
+                     "quotient")
+
+
 def verify_covering(cover: CoverGraph) -> bool:
-    """Projection restricted to each neighborhood must biject onto the base
-    neighborhood."""
-    graph, base = cover.graph, cover.base
-    proj = np.asarray(cover.projection, dtype=np.int64)
-    if not np.array_equal(graph.degrees(), base.degrees()[proj]):
+    """Whether the projection maps each neighborhood onto the base one."""
+    try:
+        covering_neighbours(cover.graph, cover.base, cover.projection)
+        return True
+    except ValueError:
         return False
-    src, dst = graph.arcs()
-    # arc i of cover vertex u is slot i - indptr[u] of the base row of proj[u]
-    wanted = base.indices[base.indptr[proj[src]] + np.arange(len(src))
-                          - graph.indptr[src]]
-    return np.array_equal(np.sort(src * base.n + proj[dst]),
-                          src * base.n + wanted)
 
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:

@@ -15,36 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CayleyGraph, Graph
+from .graphs import CayleyGraph, Graph, fibers, tree_products
 from .spectral import LiftDecomposition, lift_decomposition
 
 LIPSCHITZ_SLACK = 1e-9
 
-
-@dataclass(frozen=True)
-class KernelPairMeasure:
-    """Weight 1/D on ordered pairs (x, y), x != y, in a common block;
-    D = |G| * (block size - 1)."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    n: int
-    D: int
-
-    @classmethod
-    def from_fibers(cls, fiber_of) -> "KernelPairMeasure":
-        fiber_of = tuple(fiber_of)
-        groups: dict[int, list[int]] = {}
-        for v, b in enumerate(fiber_of):
-            groups.setdefault(b, []).append(v)
-        sizes = {len(g) for g in groups.values()}
-        if len(sizes) != 1:
-            raise ValueError(f"blocks must have constant size, got {sizes}")
-        f = sizes.pop()
-        if f < 2:
-            raise ValueError("kernel is trivial; measure undefined")
-        n = len(fiber_of)
-        return cls(blocks=tuple(tuple(g) for g in groups.values()),
-                   n=n, D=n * (f - 1))
 
 @dataclass(eq=False)
 class LipschitzMap:
@@ -66,8 +41,12 @@ class LipschitzMap:
         return float(stretch[i]), (int(edges[i, 0]), int(edges[i, 1]))
 
 
-def poincare_sum(phi: LipschitzMap, mu: KernelPairMeasure) -> float:
-    """Exact weighted sum over same-block pairs; rejects non-Lipschitz maps."""
+def poincare_sum(phi: LipschitzMap, blocks: np.ndarray) -> float:
+    """Exact sum over ordered pairs x != y in a row of ``graphs.fibers``'
+    blocks, weight 1/D, D = |G| (f - 1); rejects f < 2, non-Lipschitz maps."""
+    f = blocks.shape[1]
+    if f < 2:
+        raise ValueError("kernel is trivial; measure undefined")
     stretch, edge = phi.lipschitz_defect()
     if stretch > 1 + LIPSCHITZ_SLACK:
         raise ValueError(
@@ -75,10 +54,10 @@ def poincare_sum(phi: LipschitzMap, mu: KernelPairMeasure) -> float:
             f"on edge {edge}")
     # sum_{x != y in B} ||phi x - phi y||^2 = 2 |B| sum_{x in B} ||phi x - mean_B||^2;
     # centring first keeps a large common offset from cancelling
-    block_vectors = np.asarray(phi.vectors, dtype=float)[np.array(mu.blocks)]
+    block_vectors = np.asarray(phi.vectors, dtype=float)[blocks]
     centred = block_vectors - block_vectors.mean(axis=1, keepdims=True)
-    f = len(mu.blocks[0])
-    return 2 * f * math.fsum((centred * centred).ravel()) / mu.D
+    pairs = blocks.size * (f - 1)
+    return 2 * f * math.fsum((centred * centred).ravel()) / pairs
 
 
 # --- the test-map suite ------------------------------------------------------
@@ -122,7 +101,6 @@ class PoincareCertificate:
     epsilon: float
     C: float
     k: int
-    sums: tuple[tuple[str, float], ...]
     worst_map: str
     worst_sum: float
     passed: bool
@@ -143,11 +121,11 @@ def certify_relative(g: Graph, h: Graph, fiber_map,
         raise ValueError("relative gap is zero, certificate refused")
     k = g.k
     c = 2 * k / deco.epsilon
-    mu = KernelPairMeasure.from_fibers(fiber_map)
+    blocks = fibers(fiber_map, h.n)
     maps = spectral_maps(g, deco) + [distance_map(g)] + random_sign_maps(g, seed)
-    sums = tuple((phi.name, poincare_sum(phi, mu)) for phi in maps)
+    sums = [(phi.name, poincare_sum(phi, blocks)) for phi in maps]
     worst_map, worst_sum = max(sums, key=lambda t: t[1])
-    return PoincareCertificate(epsilon=deco.epsilon, C=c, k=k, sums=sums,
+    return PoincareCertificate(epsilon=deco.epsilon, C=c, k=k,
                                worst_map=worst_map, worst_sum=worst_sum,
                                passed=worst_sum <= c + LIPSCHITZ_SLACK)
 
@@ -172,8 +150,8 @@ def adversarial_map(cay: CayleyGraph, f: np.ndarray | None = None) -> LipschitzM
         raise ValueError("eigenvector must be nonconstant")
     # row x, column y holds f(y^-1 x); with z = y^-1 x that is vectors[y * z, y]
     vectors = np.empty((n, n))
-    for z in range(n):
-        vectors[cay.right_translation(z), np.arange(n)] = f[z]
+    products = tree_products(cay.table, cay.order, cay.parent, cay.via)
+    vectors[products, np.arange(n)[:, None]] = f[cay.order]
     # sum_u (f(u) - f(u s))^2 per generator s, summed left to right
     diffs = f[:, None] - f[cay.table]
     scale = math.sqrt(max(sum(col * col) for col in diffs.T))

@@ -28,6 +28,8 @@ Mat = tuple[int, int, int, int]
 
 IDENT: Mat = (1, 0, 0, 1)
 
+CAP = 10 ** 7       # elements of the largest group or kernel enumerated
+
 
 def canon(m: Mat, modulus: int, q: int) -> Mat:
     a, b, c, d = (x % modulus for x in m)
@@ -37,10 +39,6 @@ def canon(m: Mat, modulus: int, q: int) -> Mat:
             return (a * inv % modulus, b * inv % modulus,
                     c * inv % modulus, d * inv % modulus)
     raise ValueError("matrix has no unit entry; determinant not a unit")
-
-
-def det(m: Mat, modulus: int) -> int:
-    return (m[0] * m[3] - m[1] * m[2]) % modulus
 
 
 def mat_mul(x: Mat, y: Mat, modulus: int, q: int) -> Mat:
@@ -200,16 +198,16 @@ class Elements(list):
         return table
 
 
-def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> Elements:
+def psl_elements(q: int, n: int) -> Elements:
     """Every element of PSL(2, Z/q^n) as a canonical tuple, in ascending
-    order.
+    order; ResourceLimitError above CAP elements.
 
     Enumerates SL matrices directly: with a a unit, d is determined by
     b, c; otherwise b must be a unit and c is determined by d.
     """
     modulus = q ** n
     expected = psl_order(q, n)
-    if expected > cap:
+    if expected > CAP:
         raise ResourceLimitError(f"PSL(2, {q}^{n}) has {expected} > cap elements")
     _check_key_bound(modulus)
     inv = _unit_inverses(modulus, q)
@@ -227,15 +225,14 @@ def psl_elements(q: int, n: int, cap: int = 10 ** 7) -> Elements:
     return Elements(keys, modulus, q)
 
 
-def subgroup_closure(gens: list[Mat], modulus: int, q: int,
-                     cap: int = 10 ** 7) -> Elements:
+def subgroup_closure(gens: list[Mat], modulus: int, q: int) -> Elements:
     """Breadth-first closure under right multiplication; insertion-ordered.
 
     Each BFS level is the frontier times the generators in row-major order,
     multiplied as int64 rows and kept as row keys; its new elements are kept
     in order of first occurrence, which is the order of an
     element-at-a-time loop.  ResourceLimitError above KEY_MODULUS_LIMIT or
-    past cap elements.
+    past CAP elements.
     """
     frontier = canon_rows([IDENT], modulus, q)
     gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
@@ -253,8 +250,8 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int,
         seen = np.insert(seen, pos[fresh], uniq[fresh])
         new = keys[np.sort(first[fresh])]
         count += len(new)
-        if count > cap:
-            raise ResourceLimitError(f"closure exceeded cap {cap}")
+        if count > CAP:
+            raise ResourceLimitError(f"closure exceeded cap {CAP}")
         levels.append(new)
         frontier = np.stack(np.unravel_index(new, shape), axis=1)
     return Elements(np.concatenate(levels), modulus, q)
@@ -293,7 +290,7 @@ class CongruenceKernel:
         return all(mat_pow(x, e, mod, q) == ident for x in self.elements)
 
 
-def kernel_enumerate(q: int, n: int, k: int, cap: int = 10 ** 7) -> CongruenceKernel:
+def kernel_enumerate(q: int, n: int, k: int) -> CongruenceKernel:
     """The kernel of reduction PSL(2, q^n) -> PSL(2, q^k), enumerated.
 
     Parametrised by I + q^k * [[x, y], [z, w]] with w forced by det = 1,
@@ -302,8 +299,8 @@ def kernel_enumerate(q: int, n: int, k: int, cap: int = 10 ** 7) -> CongruenceKe
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     size = q ** (3 * (n - k))
-    if size > cap:
-        raise ResourceLimitError(f"kernel size {size} exceeds cap {cap}")
+    if size > CAP:
+        raise ResourceLimitError(f"kernel size {size} exceeds cap {CAP}")
     modulus = q ** n
     qk = q ** k
     r = q ** (n - k)
@@ -336,13 +333,13 @@ def kernel_generators(q: int, n: int, k: int) -> tuple[Mat, Mat, Mat]:
             canon((1 + qk, 0, 0, pow(1 + qk, -1, modulus)), modulus, q))
 
 
-def _spans(gens, kernel: CongruenceKernel, cap: int = 10 ** 7) -> bool:
-    closure = subgroup_closure(list(gens), kernel.modulus, kernel.q, cap=cap)
+def _spans(gens, kernel: CongruenceKernel) -> bool:
+    closure = subgroup_closure(list(gens), kernel.modulus, kernel.q)
     return set(closure) == set(kernel.elements)
 
 
 def normal_closure(gens: list[Mat], conjugators: list[Mat], modulus: int,
-                   q: int, cap: int = 10 ** 7) -> list[Mat]:
+                   q: int) -> list[Mat]:
     """The smallest subgroup containing gens and normalised by conjugators.
 
     Re-closes until conjugating each generator by each conjugator adds
@@ -351,7 +348,7 @@ def normal_closure(gens: list[Mat], conjugators: list[Mat], modulus: int,
     pairs = [(mat_inv(g, modulus, q), g) for g in conjugators]
     gens = [canon(x, modulus, q) for x in gens]
     while True:
-        closure = subgroup_closure(gens, modulus, q, cap=cap)
+        closure = subgroup_closure(gens, modulus, q)
         new = {mat_mul(mat_mul(g_inv, x, modulus, q), g, modulus, q)
                for x in gens for g_inv, g in pairs} - set(closure)
         if not new:
@@ -393,7 +390,7 @@ class GammaImageReport:
     passed: bool
 
 
-def gamma_image_check(q: int, n: int, k: int, cap: int = 10 ** 7) -> GammaImageReport:
+def gamma_image_check(q: int, n: int, k: int) -> GammaImageReport:
     """Check that q-th powers and commutators of the level-k kernel generate
     exactly the level-(k+1) kernel inside PSL(2, q^n).
 
@@ -407,13 +404,13 @@ def gamma_image_check(q: int, n: int, k: int, cap: int = 10 ** 7) -> GammaImageR
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     modulus = q ** n
-    kernel = kernel_enumerate(q, n, k, cap=cap)
-    target = set(kernel_enumerate(q, n, k + 1, cap=cap).elements)
+    kernel = kernel_enumerate(q, n, k)
+    target = set(kernel_enumerate(q, n, k + 1).elements)
     triple = kernel_generators(q, n, k)
     seeds = [mat_pow(s, q, modulus, q) for s in triple]
     seeds += [commutator(s, t, modulus, q) for s, t in combinations(triple, 2)]
-    closure = normal_closure(seeds, list(triple), modulus, q, cap=cap)
+    closure = normal_closure(seeds, list(triple), modulus, q)
     return GammaImageReport(q=q, n=n, k=k, generated_order=len(closure),
                             expected_order=len(target),
-                            passed=_spans(triple, kernel, cap)
+                            passed=_spans(triple, kernel)
                             and set(closure) == target)

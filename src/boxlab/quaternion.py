@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import ResourceLimitError
 from .zmod import is_prime
 
 
@@ -88,6 +89,7 @@ def _first_imag_sign(x: Quat) -> int:
 # --- counting three-square representations -------------------------------
 
 _R2_TABLE = None  # table of r2(v) = #{(a, b) in Z^2 : a^2 + b^2 = v}
+R2_CAP = 4 * 10 ** 6  # r2 entries (32 MB); n = 0, m = 10 takes 2,441,407
 
 
 def _r2_upto(limit: int):
@@ -96,6 +98,8 @@ def _r2_upto(limit: int):
 
     if _R2_TABLE is not None and len(_R2_TABLE) > limit:
         return _R2_TABLE
+    if limit + 1 > R2_CAP:
+        raise ResourceLimitError(f"r2 table of {limit + 1} > {R2_CAP} entries")
     table = np.zeros(limit + 1, dtype=np.int64)
     amax = math.isqrt(limit)
     squares = np.arange(amax + 1, dtype=np.int64) ** 2

@@ -159,8 +159,9 @@ class Irrep:
         raise ValueError(f"unknown kind {self.kind!r}")
 
     def characters(self, elements) -> np.ndarray:
-        """Batch character: entry i is char(elements[i]), the sum in column
-        order of exp(2 pi i p / q^n) over the fixed columns' phases p."""
+        """Batch character: entry i is the character at elements[i], the sum
+        in column order of exp(2 pi i p / q^n) over the fixed columns'
+        phases p."""
         perm, phases = self.matrices(elements)
         mod = self.group.modulus
         fixed = perm == np.arange(self.dim)
@@ -171,9 +172,6 @@ class Irrep:
         for c in range(self.dim):
             out[fixed[:, c]] += roots[phases[fixed[:, c], c]]
         return out
-
-    def char(self, g: Element) -> complex:
-        return complex(self.characters([g])[0])
 
     def is_trivial_at(self, g: Element) -> bool:
         perm, phases = self.matrix(g)
@@ -303,11 +301,9 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
         gen = elements[int(np.argmin(parent >= 0))]     # first unreached
         columns = np.hstack([columns, graphs.generator_table(
             elements, mul, [gen])[1]])
-    # [i, j] = idx(e_i e_j), in the narrowest type that holds every index
-    table = np.empty((size, size), dtype=np.min_scalar_type(size), order="F")
-    table[:, identity] = np.arange(size)
-    for v in order[1:].tolist():
-        table[:, v] = columns[table[:, parent[v]], via[v]]
+    # [i, j] = idx(e_i e_j): tree_products' columns follow the BFS order
+    table = graphs.tree_products(columns, order, parent, via)
+    table = table[:, np.argsort(order)]
     for i in range(size - 1, -1, -graphs.SPOT_STRIDE):
         for j, ij in enumerate(table[i].tolist()):
             if mul(elements[i], elements[j]) != elements[ij]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graphs import Graph, bfs_tree
+from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
 DENSE_LIMIT = 4000
 # relative eigenvalue gaps of T, per unit of its scale, below which
@@ -32,7 +32,6 @@ class Spectrum:
     values: tuple[float, ...]        # ascending
     operator: str                    # "adjacency" | "laplacian"
     k: int
-    residual: float = 0.0
 
     def adjacency_values(self) -> tuple[float, ...]:
         return self._as("adjacency")
@@ -72,7 +71,7 @@ def spectrum(graph: Graph) -> Spectrum:
     if residual > 1e-9 * max(1, k):
         raise RuntimeError(f"dense solve residual {residual} too large")
     return Spectrum(values=tuple(float(v) for v in vals),
-                    operator="adjacency", k=k, residual=residual)
+                    operator="adjacency", k=k)
 
 
 def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
@@ -147,7 +146,6 @@ class RamanujanCertificate:
     margin: float
     bipartite: bool
     tolerance: float
-    mode: str
 
 
 def ramanujan_check(graph: Graph, spec, tolerance: float = 1e-9) -> RamanujanCertificate:
@@ -160,11 +158,11 @@ def ramanujan_check(graph: Graph, spec, tolerance: float = 1e-9) -> RamanujanCer
     bound = 2 * math.sqrt(k - 1)
     bipartite = graph.is_bipartite()
     if isinstance(spec, ExtremeSpectrum):
-        mode, top = "extreme", spec.second_largest
+        top = spec.second_largest
         bottom = -top if bipartite else spec.smallest   # bipartite: symmetric
     else:
         adj = spec.adjacency_values()   # [-1] is k; [0] is -k if bipartite
-        mode, top = "dense", adj[-2]
+        top = adj[-2]
         bottom = adj[1] if bipartite else adj[0]
     worst = max(top, -bottom, 0.0)      # 0.0 for K2: nothing is nontrivial
     passed = worst <= bound + tolerance
@@ -174,7 +172,7 @@ def ramanujan_check(graph: Graph, spec, tolerance: float = 1e-9) -> RamanujanCer
                            "bound disagree")
     return RamanujanCertificate(k=k, bound=bound, passed=passed,
                                 margin=bound - worst, bipartite=bipartite,
-                                tolerance=tolerance, mode=mode)
+                                tolerance=tolerance)
 
 
 # --- lift / relative decomposition along a quotient map ---------------------
@@ -186,8 +184,6 @@ class LiftDecomposition:
     relative: Spectrum               # laplacian values, |G| - |H| of them
     epsilon: float                   # min of the relative part, +inf if empty
     relative_vectors: np.ndarray     # columns are relative eigenvectors on G
-    fiber_map: tuple[int, ...]
-    fiber_size: int
 
 
 def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
@@ -217,20 +213,13 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
             f"lift decomposition limited to {DENSE_LIMIT} vertices, got {g.n}")
     from scipy.linalg import eigh
 
-    fiber_map = tuple(fiber_map)
     if len(fiber_map) != g.n:
         raise ValueError("fiber map must assign every vertex of g")
-    proj = np.asarray(fiber_map, dtype=np.int64)
-    if not np.array_equal(np.unique(proj), np.arange(h.n)):
-        raise ValueError("fiber map must be onto the base vertex set")
-    sizes = set(np.bincount(proj).tolist())
-    if len(sizes) != 1:
-        raise ValueError(f"fibers must have constant size, got {sizes}")
-    f = sizes.pop()
+    blocks = fibers(fiber_map, h.n)
     k = g.k
     if h.k != k:
         raise ValueError("base and total graph must share the regularity")
-    vertex, perms, arc_perm = _sheets(g, h, proj, f)
+    vertex, perms, arc_perm = _sheets(g, h, fiber_map, blocks)
 
     lap_h = k * np.eye(h.n) - h.adjacency_matrix()
     h_vals = np.sort(eigh(lap_h, eigvals_only=True))
@@ -243,7 +232,7 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     src, dst = h.arcs()
     diag = np.arange(h.n)
     solved = []                  # (values, vectors, basis) per block dimension
-    for basis in _sheet_blocks(perms, f):
+    for basis in _sheet_blocks(perms, blocks.shape[1]):
         nb, _, dim = basis.shape
         # basis^T P basis for each distinct arc permutation, (P x)[s] = x[P[s]]
         moved = np.einsum("bsd,bpse->bpde", basis, basis[:, perms])
@@ -293,35 +282,28 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
         epsilon=float(rel_vals[0]) if len(rel_vals) else math.inf,
-        relative_vectors=rel_vectors, fiber_map=fiber_map, fiber_size=f)
+        relative_vectors=rel_vectors)
 
 
-def _sheets(g: Graph, h: Graph, proj: np.ndarray,
-            f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sheets(g: Graph, h: Graph, fiber_map,
+            blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex, perms, arc_perm): vertex[b, s] is the vertex of g over b on
     sheet s, and arc i of h, in h.arcs() order, carries sheet s to sheet
     perms[arc_perm[i], s]; perms holds each distinct permutation once.
 
-    The sheets over the root of each component of h are its fiber in
-    order, and each arc of a BFS spanning forest of h carries them unchanged
-    to the child.  ValueError unless every vertex of g has exactly one
-    neighbour over each neighbour of its base vertex."""
+    The sheets over the root of each component of h are its row of blocks,
+    and each arc of a BFS spanning forest of h carries them unchanged to the
+    child.  ValueError unless every vertex of g has exactly one neighbour
+    over each neighbour of its base vertex."""
     from scipy.sparse.csgraph import connected_components
 
-    k = h.k
-    rows = g.indices.reshape(g.n, k)
-    by_base = np.argsort(proj[rows], axis=1)
-    if not np.array_equal(np.take_along_axis(proj[rows], by_base, axis=1),
-                          h.indices.reshape(h.n, k)[proj]):
-        raise ValueError("a vertex does not have exactly one neighbour over "
-                         "each base neighbour; fiber map is not a covering "
-                         "quotient")
-    # nbr[u, j] is the neighbour of u over the j-th neighbour of proj[u]
-    nbr = np.take_along_axis(rows, by_base, axis=1)
+    f = blocks.shape[1]
+    # nbr[u, j] is the neighbour of u over the j-th neighbour of its base
+    nbr = covering_neighbours(g, h, fiber_map).reshape(g.n, h.k)
     labels = connected_components(h.sparse_adjacency(), directed=False)[1]
     roots = np.unique(labels, return_index=True)[1]
     _, parent, via, depth = bfs_tree(h.indptr, h.indices, roots)
-    vertex = np.argsort(proj, kind="stable").reshape(h.n, f)
+    vertex = blocks.copy()
     for d in range(1, int(depth.max(initial=0)) + 1):
         level = np.flatnonzero(depth == d)
         vertex[level] = nbr[vertex[parent[level]], via[level, None]]

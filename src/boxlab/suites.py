@@ -14,8 +14,9 @@ import time
 
 from . import psl
 from .freegroup import trivial_word_counts
-from .graphs import (cayley_graph, complete, complete_bipartite, cycle, girth,
-                     homology_cover, is_automorphism, petersen, verify_covering)
+from .graphs import (cayley_graph, complete, complete_bipartite, cycle, fibers,
+                     girth, homology_cover, is_automorphism, petersen,
+                     verify_covering)
 from .poincare import certify_relative, expander_bound_check
 from .quaternion import loop_count_quat, quaternion_generators
 from .reps import borel_group, brute_force_irreps, classify_all, irrep_inventory
@@ -224,17 +225,13 @@ def criterion_lift(seed: int = 0) -> dict:
     vanishing fiber sums."""
     rows = []
     passed = True
-    for name, g, h, fibers in _lift_pairs():
-        deco = lift_decomposition(g, h, fibers)
+    for name, g, h, fiber_map in _lift_pairs():
+        deco = lift_decomposition(g, h, fiber_map)
         base_vals = spectrum(h).laplacian_values()
         diff = max(abs(a - b) for a, b in zip(deco.lifted.values, base_vals))
         ok = diff <= 1e-9 and len(deco.lifted.values) == h.n
-        fiber_max = 0.0
-        for bv in range(h.n):
-            fiber = [v for v in range(g.n) if fibers[v] == bv]
-            if deco.relative_vectors.size:
-                fiber_max = max(fiber_max, float(
-                    abs(deco.relative_vectors[fiber, :].sum(axis=0)).max()))
+        sums = deco.relative_vectors[fibers(fiber_map, h.n)].sum(axis=1)
+        fiber_max = float(abs(sums).max(initial=0.0))
         ok = ok and fiber_max <= 1e-8
         rows.append({"pair": name, "epsilon": deco.epsilon,
                      "lift_dim": len(deco.lifted.values),
@@ -251,8 +248,8 @@ def criterion_poincare(seed: int = 0) -> dict:
     spectral gap."""
     rows = []
     passed = True
-    for name, g, h, fibers in _lift_pairs():
-        cert = certify_relative(g, h, fibers, seed=seed)
+    for name, g, h, fiber_map in _lift_pairs():
+        cert = certify_relative(g, h, fiber_map, seed=seed)
         rows.append({"pair": name, "C": cert.C, "epsilon": cert.epsilon,
                      "worst_map": cert.worst_map, "worst_sum": cert.worst_sum,
                      "passed": cert.passed})

@@ -14,7 +14,8 @@ from boxlab.graphs import (Graph, cayley_graph, complete,
                            generator_table, girth,
                            homology_cover, inverse_permutations,
                            is_automorphism, petersen,
-                           spanning_tree, SpanningTreeData, verify_covering)
+                           spanning_tree, SpanningTreeData, tree_products,
+                           verify_covering)
 from boxlab.quaternion import quaternion_generators
 from boxlab.suites import lps_cayley
 from boxlab.zmod import LpsParams
@@ -156,7 +157,7 @@ def test_cover_petersen_girth_monotone():
 def test_cover_fibers_and_deck_action():
     cover = homology_cover(complete(4), 2)
     for bv in range(4):
-        assert cover.projection.count(bv) == 8
+        assert np.count_nonzero(cover.projection == bv) == 8
     # generators of the deck group act as automorphisms, freely
     for j in range(cover.rank):
         shift = [0] * cover.rank
@@ -172,9 +173,10 @@ def test_cover_fibers_and_deck_action():
     assert len(orbit) == 8
 
 
-def test_cover_cap():
+def test_cover_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "COVER_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        homology_cover(petersen(), 3, cap=100)
+        homology_cover(petersen(), 3)
 
 
 def test_projection_preserves_degree():
@@ -334,13 +336,45 @@ def test_cayley_table_matches_edge_set(name):
     assert cay.table.shape == (len(elements), len(gens))
 
 
+def right_translation_word_walk(cay, z):
+    """The permutation x -> x * z of the element indices, walked along the
+    generator word of z in the BFS tree."""
+    word = []
+    while z != cay.order[0]:
+        word.append(int(cay.via[z]))
+        z = int(cay.parent[z])
+    perm = np.arange(cay.graph.n)
+    for j in reversed(word):
+        perm = cay.table[perm, j]
+    return perm
+
+
 def test_right_translation_matches_mul():
     cay = psl23_cayley()
     elems = cay.elements
-    for z in range(len(elems)):
-        perm = cay.right_translation(z)
-        assert [elems[y] for y in perm] == \
+    products = tree_products(cay.table, cay.order, cay.parent, cay.via)
+    for i, z in enumerate(cay.order.tolist()):
+        assert [elems[y] for y in products[:, i]] == \
             [psl.mat_mul(x, elems[z], 3, 3) for x in elems]
+
+
+@pytest.mark.parametrize("name", ["C16", "psl23", "lps29"])
+def test_tree_products_match_word_walk(name):
+    if name == "C16":
+        cay = cayley_graph(list(range(16)), lambda a, b: (a + b) % 16, [1, 15])
+    else:
+        cay = lps_cayley(29) if name == "lps29" else psl23_cayley()
+    # every column of the small groups; of PSL(2, 29), a BFS prefix that
+    # spans the first levels, and its last columns are the longest words
+    order = cay.order[:300]
+    products = tree_products(cay.table, order, cay.parent, cay.via)
+    assert products.shape == (cay.graph.n, len(order))
+    assert products.dtype == np.min_scalar_type(cay.graph.n)
+    spots = range(len(order)) if len(order) == cay.graph.n \
+        else [0, 1, 150, *range(260, 300)]
+    for i in spots:
+        assert np.array_equal(products[:, i],
+                              right_translation_word_walk(cay, cay.order[i]))
 
 
 def test_cayley_mul_call_budget():
@@ -606,10 +640,12 @@ def spanning_tree_brute(graph):
                     tree.add((u, v) if u < v else (v, u))
                     nxt.append(v)
         frontier = nxt
-    non_tree = tuple((u, v) for u in range(graph.n) for v in nbrs[u]
-                     if u < v and (u, v) not in tree)
-    return SpanningTreeData(tree_edges=frozenset(tree), non_tree_edges=non_tree,
-                            rank=graph.num_edges - graph.n + 1)
+    non_tree = [(u, v) for u in range(graph.n) for v in nbrs[u]
+                if u < v and (u, v) not in tree]
+    return SpanningTreeData(
+        tree_edges=np.array(sorted(tree), dtype=np.int64).reshape(-1, 2),
+        non_tree_edges=np.array(non_tree, dtype=np.int64).reshape(-1, 2),
+        rank=graph.num_edges - graph.n + 1)
 
 
 def homology_cover_edges_brute(graph, m, tree):
@@ -619,9 +655,9 @@ def homology_cover_edges_brute(graph, m, tree):
     edges = []
     for block in range(m ** r):
         base_off = block * n
-        for u, v in tree.tree_edges:
+        for u, v in tree.tree_edges.tolist():
             edges.append((base_off + u, base_off + v))
-        for j, (u, v) in enumerate(tree.non_tree_edges):
+        for j, (u, v) in enumerate(tree.non_tree_edges.tolist()):
             digit = (block // weights[j]) % m
             target = block + ((digit + 1) % m - digit) * weights[j]
             edges.append((base_off + u, target * n + v))
@@ -647,13 +683,20 @@ def outcome(fn, *args):
         return ValueError, str(exc)
 
 
+def assert_same_tree(tree, expected):
+    assert np.array_equal(tree.tree_edges, expected.tree_edges)
+    assert np.array_equal(tree.non_tree_edges, expected.non_tree_edges)
+    assert tree.rank == expected.rank
+
+
 def assert_cover_matches_brute(cover):
     base = cover.base
     tree = spanning_tree_brute(base)
-    assert cover.tree == tree
+    assert_same_tree(cover.tree, tree)
     edges = homology_cover_edges_brute(base, cover.m, tree)
     assert adj(cover.graph) == from_edges_brute(cover.graph.n, edges)
-    assert cover.projection == tuple(cv % base.n for cv in range(cover.graph.n))
+    assert np.array_equal(cover.projection,
+                          [cv % base.n for cv in range(cover.graph.n)])
     assert verify_covering(cover) is verify_covering_brute(cover) is True
 
 
@@ -701,7 +744,11 @@ def test_array_graph_matches_vertex_loops(name):
         with pytest.raises(IndexError):
             spanning_tree_brute(g)
         return
-    assert outcome(spanning_tree, g) == outcome(spanning_tree_brute, g)
+    expected = outcome(spanning_tree_brute, g)
+    if isinstance(expected, SpanningTreeData):
+        assert_same_tree(spanning_tree(g), expected)
+    else:
+        assert outcome(spanning_tree, g) == expected
     if g.is_connected():
         for m in (2, 3):
             assert_cover_matches_brute(homology_cover(g, m))
@@ -753,11 +800,59 @@ def test_verify_covering_matches_brute_on_random_graphs():
         i = data.draw(st.integers(0, total - 1))
         j = data.draw(st.integers(0, total - 1).filter(
             lambda j: cover.projection[j] != cover.projection[i]))
-        proj = list(cover.projection)
-        proj[i], proj[j] = proj[j], proj[i]
-        swapped = dataclasses.replace(cover, projection=tuple(proj))
+        proj = cover.projection.copy()
+        proj[[i, j]] = proj[[j, i]]
+        swapped = dataclasses.replace(cover, projection=proj)
         swapped_results.append(verify_covering(swapped))
         assert swapped_results[-1] is verify_covering_brute(swapped)
 
     check()
     assert False in swapped_results
+
+
+# --- quotients as int64 arrays -----------------------------------------------
+
+
+def test_fibers_rows_and_rejections():
+    assert np.array_equal(graphs.fibers([1, 0, 1, 0, 2, 2], 3),
+                          [[1, 3], [0, 2], [4, 5]])
+    for out_of_range in ([0, 1, 3, 1], [0, -1, 0, -1]):
+        with pytest.raises(ValueError, match="onto"):
+            graphs.fibers(out_of_range, 2)
+    with pytest.raises(ValueError, match="onto"):
+        graphs.fibers([0, 0, 2, 2], 3)
+    with pytest.raises(ValueError, match="constant size"):
+        graphs.fibers([0, 1, 1, 1], 2)
+
+
+def neighbours_by_row_sort(g, h, proj):
+    """nbr[u, j], the neighbour of u over the j-th neighbour of proj[u], by
+    sorting each row of a regular cover by base vertex: the retired check of
+    the lift decomposition's sheets."""
+    k = h.k
+    rows = g.indices.reshape(g.n, k)
+    by_base = np.argsort(proj[rows], axis=1)
+    if not np.array_equal(np.take_along_axis(proj[rows], by_base, axis=1),
+                          h.indices.reshape(h.n, k)[proj]):
+        raise ValueError("not a covering quotient")
+    return np.take_along_axis(rows, by_base, axis=1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+def test_covering_neighbours_match_row_sort(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    g, h, proj = cover.graph, cover.base, cover.projection
+    nbr = graphs.covering_neighbours(g, h, proj)
+    assert nbr.shape == g.indices.shape
+    assert np.array_equal(nbr.reshape(g.n, h.k),
+                          neighbours_by_row_sort(g, h, proj))
+
+
+def test_covering_neighbours_reject_a_non_covering_map():
+    # constant fibers of size 2, but vertex 5 over 1 has neighbours over 0, 3
+    proj = np.array([0, 1, 2, 3, 0, 1, 3, 2])
+    with pytest.raises(ValueError, match="not a covering quotient"):
+        graphs.covering_neighbours(cycle(8), cycle(4), proj)
+    with pytest.raises(ValueError, match="not a covering quotient"):
+        neighbours_by_row_sort(cycle(8), cycle(4), proj)

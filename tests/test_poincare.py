@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxlab import psl
-from boxlab.graphs import cayley_graph, complete, cycle, homology_cover, petersen
-from boxlab.poincare import (KernelPairMeasure, LipschitzMap, adversarial_map,
-                             certify_relative, distance_map, double_sum,
-                             expander_bound_check, poincare_sum)
+from boxlab.graphs import (cayley_graph, complete, cycle, fibers,
+                           homology_cover, petersen, tree_products)
+from boxlab.poincare import (LipschitzMap, adversarial_map, certify_relative,
+                             distance_map, double_sum, expander_bound_check,
+                             poincare_sum)
 from boxlab.spectral import lift_decomposition, spectrum
 from conftest import adj, edges
 
@@ -20,56 +21,63 @@ def cyclic_cayley(n, gens=(1, -1)):
                         [g % n for g in gens])
 
 
-def kernel_pair_measure(cay, kernel):
-    """The kernel-pair measure whose blocks are the right cosets x * N of
-    the kernel element set."""
+def kernel_pair_blocks(cay, kernel):
+    """The blocks of the kernel-pair measure: the right cosets x * N of the
+    kernel element set."""
     index = {e: i for i, e in enumerate(cay.elements)}
     kernel = [index[z] for z in kernel]
-    if cay.identity_index not in kernel:
+    if cay.order[0] not in kernel:
         raise ValueError("kernel must contain the identity")
-    if len(kernel) < 2:
-        raise ValueError("kernel is trivial; measure undefined")
-    # column x is the coset x * N; blocks are numbered by their least vertex
-    cosets = np.array([cay.right_translation(z) for z in kernel])
-    _, block_of = np.unique(cosets.min(axis=0), return_inverse=True)
-    return KernelPairMeasure.from_fibers(block_of.tolist())
+    # row x * z over z in the kernel; column x is the coset x * N
+    products = tree_products(cay.table, cay.order, cay.parent, cay.via)
+    position = np.argsort(cay.order)
+    cosets = products[:, position[kernel]].T
+    # blocks are numbered by their least vertex
+    least, block_of = np.unique(cosets.min(axis=0), return_inverse=True)
+    return fibers(block_of, len(least))
+
+
+def pair_count(blocks):
+    """D, the number of ordered pairs x != y in a common block."""
+    return sum(len(b) * (len(b) - 1) for b in blocks)
 
 
 def test_kernel_measure_z4():
     cay = cyclic_cayley(4)
-    mu = kernel_pair_measure(cay, [0, 2])
-    assert mu.D == 4
-    # total mass one
-    assert sum(len(b) * (len(b) - 1) for b in mu.blocks) == mu.D
-    pairs = [(x, y) for block in mu.blocks for x in block for y in block if x != y]
+    blocks = kernel_pair_blocks(cay, [0, 2])
+    assert pair_count(blocks) == 4
+    pairs = [(x, y) for block in blocks.tolist() for x in block for y in block
+             if x != y]
     assert sorted(pairs) == [(0, 2), (1, 3), (2, 0), (3, 1)]
 
 
 def test_kernel_measure_rejects_trivial():
     cay = cyclic_cayley(4)
-    with pytest.raises(ValueError):
-        kernel_pair_measure(cay, [0])
+    blocks = kernel_pair_blocks(cay, [0])
+    phi = LipschitzMap(graph=cay.graph, vectors=np.ones((4, 1)))
+    with pytest.raises(ValueError, match="kernel is trivial"):
+        poincare_sum(phi, blocks)
 
 
 def test_kernel_and_fiber_measures_agree():
     cay = cyclic_cayley(8)
-    via_kernel = kernel_pair_measure(cay, [0, 4])
-    via_fibers = KernelPairMeasure.from_fibers([v % 4 for v in range(8)])
-    assert via_kernel.D == via_fibers.D
-    assert sorted(map(sorted, via_kernel.blocks)) == \
-        sorted(map(sorted, via_fibers.blocks))
+    via_kernel = kernel_pair_blocks(cay, [0, 4])
+    via_fibers = fibers([v % 4 for v in range(8)], 4)
+    assert pair_count(via_kernel) == pair_count(via_fibers)
+    assert sorted(map(sorted, via_kernel.tolist())) == \
+        sorted(map(sorted, via_fibers.tolist()))
 
 
 def test_poincare_sum_constant_map():
     g = cycle(4)
-    mu = KernelPairMeasure.from_fibers([0, 1, 0, 1])
+    mu = fibers([0, 1, 0, 1], 2)
     phi = LipschitzMap(graph=g, vectors=np.ones((4, 2)), name="const")
     assert poincare_sum(phi, mu) == 0.0
 
 
 def test_poincare_sum_identity_coordinates_c4():
     g = cycle(4)
-    mu = KernelPairMeasure.from_fibers([0, 1, 0, 1])   # antipodal blocks
+    mu = fibers([0, 1, 0, 1], 2)   # antipodal blocks
     phi = LipschitzMap(graph=g, vectors=np.eye(4) / math.sqrt(2), name="coords")
     # each of the 4 ordered antipodal pairs contributes ||e_x - e_y||^2 / 2 = 1
     assert abs(poincare_sum(phi, mu) - 1.0) < 1e-12
@@ -77,7 +85,7 @@ def test_poincare_sum_identity_coordinates_c4():
 
 def test_poincare_sum_rejects_stretched_map():
     g = cycle(4)
-    mu = KernelPairMeasure.from_fibers([0, 1, 0, 1])
+    mu = fibers([0, 1, 0, 1], 2)
     phi = LipschitzMap(graph=g, vectors=3 * np.eye(4), name="stretched")
     with pytest.raises(ValueError, match="not 1-Lipschitz"):
         poincare_sum(phi, mu)
@@ -166,15 +174,15 @@ def test_adversarial_rejects_constant_vector():
 # --- the retired pair and edge loops, kept as oracles -------------------------
 
 
-def poincare_sum_pairwise(phi, mu):
+def poincare_sum_pairwise(phi, blocks):
     terms = []
-    for block in mu.blocks:
+    for block in blocks.tolist():
         for x in block:
             for y in block:
                 if x != y:
                     diff = phi.vectors[x] - phi.vectors[y]
                     terms.append(float(diff @ diff))
-    return math.fsum(terms) / mu.D
+    return math.fsum(terms) / len(terms)
 
 
 def lipschitz_defect_edge_loop(phi):
@@ -189,9 +197,9 @@ def lipschitz_defect_edge_loop(phi):
 @functools.lru_cache(maxsize=None)
 def quotient_pair(name):
     if name == "C8/C4":
-        return cycle(8), tuple(v % 4 for v in range(8))
+        return cycle(8), fibers([v % 4 for v in range(8)], 4)
     cover = homology_cover(complete(4) if name == "K4-m2" else petersen(), 2)
-    return cover.graph, cover.projection
+    return cover.graph, fibers(cover.projection, cover.base.n)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -201,8 +209,7 @@ def quotient_pair(name):
        seed=st.integers(0, 2 ** 32 - 1))
 @example(pair="petersen-m2", dim=3, offset=1e6, seed=0)
 def test_poincare_sum_matches_pair_loop(pair, dim, offset, seed):
-    g, fibers = quotient_pair(pair)
-    mu = KernelPairMeasure.from_fibers(fibers)
+    g, mu = quotient_pair(pair)
     vecs = np.random.default_rng(seed).standard_normal((g.n, dim))
     stretch, _ = LipschitzMap(graph=g, vectors=vecs).lipschitz_defect()
     phi = LipschitzMap(graph=g, vectors=0.5 * vecs / stretch + offset)
@@ -278,6 +285,6 @@ def test_kernel_measure_matches_mul_loop_on_psl23():
     # the Klein four-group: the identity and the three involutions of A4
     kernel = [x for x in elements if mul(x, x) == ident]
     assert len(kernel) == 4
-    mu = kernel_pair_measure(cayley_graph(elements, mul, gens), kernel)
-    assert mu == KernelPairMeasure.from_fibers(
-        kernel_blocks_mul_loop(elements, mul, kernel))
+    blocks = kernel_pair_blocks(cayley_graph(elements, mul, gens), kernel)
+    block_of = kernel_blocks_mul_loop(elements, mul, kernel)
+    assert np.array_equal(blocks, fibers(block_of, max(block_of) + 1))

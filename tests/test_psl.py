@@ -54,7 +54,8 @@ def test_lps_embed_determinant_is_p():
         for g in gens.elements:
             x0, x1, x2, x3 = g
             raw = (x0 + x1 * eps, x2 + x3 * eps, -x2 + x3 * eps, x0 - x1 * eps)
-            assert psl.det(raw, modulus) == 5 % modulus
+            a, b, c, d = raw
+            assert (a * d - b * c) % modulus == 5 % modulus
 
 
 def test_lps_embed_rejects_bad_eps():
@@ -312,11 +313,13 @@ def test_subgroup_closure_matches_brute_order(name):
         subgroup_closure_brute(gens, modulus, q)
 
 
-def test_subgroup_closure_cap():
+def test_subgroup_closure_cap(monkeypatch):
     gens, modulus, q = closure_input("lps29")
-    assert len(psl.subgroup_closure(gens, modulus, q, cap=12180)) == 12180
+    monkeypatch.setattr(psl, "CAP", 12180)
+    assert len(psl.subgroup_closure(gens, modulus, q)) == 12180
+    monkeypatch.setattr(psl, "CAP", 12179)
     with pytest.raises(ResourceLimitError):
-        psl.subgroup_closure(gens, modulus, q, cap=12179)
+        psl.subgroup_closure(gens, modulus, q)
     with pytest.raises(ResourceLimitError):
         subgroup_closure_brute(gens, modulus, q, cap=12179)
 
@@ -433,9 +436,10 @@ def test_psl_elements_matches_tuple_loop(q, n):
     assert elements.keys.tolist() == row_keys_of(elements, q ** n)
 
 
-def test_psl_elements_cap():
+def test_psl_elements_cap(monkeypatch):
+    monkeypatch.setattr(psl, "CAP", 12179)
     with pytest.raises(ResourceLimitError):
-        psl.psl_elements(29, 1, cap=12179)
+        psl.psl_elements(29, 1)
 
 
 @pytest.mark.parametrize("name", ["lps29", "psl23", "identity", "mgen-3-3",

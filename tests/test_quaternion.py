@@ -4,6 +4,7 @@ import random
 import pytest
 
 from boxlab import quaternion
+from boxlab.errors import ResourceLimitError
 from boxlab.quaternion import (Quat, count_three_squares, loop_count_quat,
                                quaternion_generators)
 from conftest import ONE, canonical_class, word_to_class
@@ -137,6 +138,16 @@ def test_loop_count_quat_builds_the_r2_table_once(monkeypatch):
     monkeypatch.setattr(quaternion, "_r2_upto", counting)
     assert loop_count_quat(0, 8, 29) == 976562
     assert len(built) <= 1
+
+
+def test_r2_table_cap_raises_before_allocating():
+    # n = 0, m = 14 would ask for 5^14 / 4, about 1.5e9 entries
+    table = quaternion._R2_TABLE
+    with pytest.raises(ResourceLimitError, match="r2 table"):
+        loop_count_quat(0, 14, 29)
+    with pytest.raises(ResourceLimitError, match="r2 table"):
+        count_three_squares(quaternion.R2_CAP)
+    assert quaternion._R2_TABLE is table
 
 
 def test_loop_count_quat_brute_cross_check():

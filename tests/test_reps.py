@@ -174,7 +174,8 @@ def test_batch_characters_are_bitwise_char():
                     if target == c:
                         expected += cmath.exp(2j * cmath.pi * phases[c]
                                               / g.modulus)
-                assert chars[i] == r.char(g.elements[i]) == expected
+                assert chars[i] == r.characters([g.elements[i]])[0] \
+                    == expected
 
 
 def test_irrep_unitary():

@@ -21,16 +21,29 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def test_traced_benchmark_names_resolve():
-    # a traced benchmark run wraps these by name; a renamed function would
-    # only be listed as missing and its per-layer metric would vanish
-    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+ROOT = pathlib.Path(__file__).parents[1]
+
+
+def _wrapped_names():
+    """The dotted ``module.attr`` strings of benchmarks/tracing.WRAPPED."""
+    path = ROOT / "benchmarks" / "tracing.py"
     wrapped = next(ast.literal_eval(node.value)
                    for node in ast.parse(path.read_text()).body
                    if isinstance(node, ast.Assign)
                    and getattr(node.targets[0], "id", None) == "WRAPPED")
-    names = [f"{module}.{attr}" for module, attrs in wrapped.items()
-             for attr in attrs]
+    return [f"{module}.{attr}" for module, attrs in wrapped.items()
+            for attr in attrs]
+
+
+def _trees(*dirs):
+    return [ast.parse(path.read_text(), str(path)) for d in dirs
+            for path in sorted((ROOT / d).rglob("*.py"))]
+
+
+def test_traced_benchmark_names_resolve():
+    # a traced benchmark run wraps these by name; a renamed function would
+    # only be listed as missing and its per-layer metric would vanish
+    names = _wrapped_names()
     assert "graphs.cayley_graph" in names
     for name in names:
         module, _, attr = name.partition(".")
@@ -68,20 +81,43 @@ def _definitions(tree):
 def test_every_library_definition_is_read_outside_the_tests():
     # a definition that only tests read is dead code with a test attached.
     # criterion_feasibility is acceptance criterion 10: test_acceptance runs
-    # it, while the feasibility command calls min_feasible_level directly
+    # it, while the feasibility command calls min_feasible_level directly.
+    # A read is a name or an attribute loaded in code, or a part of a traced
+    # name: words in docstrings and comments, a def line and an assignment
+    # to a local of the same name are not
     exempt = {"criterion_feasibility"}
-    root = pathlib.Path(__file__).parents[1]
-    # a name on a def or class line is defined there, not read: two methods
-    # of one name would otherwise count as each other's readers
-    lines = [line for path in sorted((root / "src").rglob("*.py"))
-             + sorted((root / "benchmarks").rglob("*.py"))
-             for line in path.read_text().splitlines()
-             if not re.match(r"\s*(def|class)\s", line)]
+    read = {part for name in _wrapped_names() for part in name.split(".")}
+    for tree in _trees("src", "benchmarks"):
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
     unread = []
-    for path in sorted((root / "src" / "boxlab").glob("*.py")):
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
         for name, lineno in _definitions(ast.parse(path.read_text())):
-            word = re.compile(rf"\b{name}\b")
-            if name not in exempt and not any(word.search(line)
-                                              for line in lines):
+            if name not in exempt | read:
                 unread.append(f"{path.name}:{lineno} {name}")
     assert not unread, f"definitions only tests read: {unread}"
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no attribute access reads is stored for nobody; a
+    # keyword at construction is a write, not a read
+    read = {node.attr for tree in _trees("src", "benchmarks", "tests")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or not any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                continue
+            unread += [f"{path.name}:{sub.lineno} {node.name}.{sub.target.id}"
+                       for sub in node.body if isinstance(sub, ast.AnnAssign)
+                       and sub.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -248,8 +248,7 @@ def lift_decomposition_brute(g: Graph, h: Graph, fiber_map) -> LiftDecomposition
                         operator="laplacian", k=k),
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
-        epsilon=epsilon, relative_vectors=rel_vectors, fiber_map=fiber_map,
-        fiber_size=f)
+        epsilon=epsilon, relative_vectors=rel_vectors)
 
 
 def voltage_cover(h: Graph, f: int, voltages: dict, seed: int = 0):
@@ -286,7 +285,6 @@ def assert_matches_brute(g, h, fiber_map):
     lap_g = g.k * np.eye(g.n) - g.adjacency_matrix()
     values = np.array(deco.relative.values)
     assert np.abs(lap_g @ vecs - vecs * values).max(initial=0) <= 1e-9
-    assert deco.fiber_size == g.n // h.n
 
 
 def test_lift_matches_brute_c8_c4_and_trivial_quotient():

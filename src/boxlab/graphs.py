@@ -366,8 +366,9 @@ class CoverGraph:
     rank: int
     tree: SpanningTreeData
 
-    def deck_translate(self, shift: Sequence[int]) -> list[int]:
-        """Vertex permutation translating the Z_m^r coordinate by shift."""
+    def deck_translate(self, shift: Sequence[int]) -> np.ndarray:
+        """int64 vertex permutation translating the Z_m^r coordinate by
+        shift."""
         m, r = self.m, self.rank
         if len(shift) != r:
             raise ValueError(f"shift has {len(shift)} coordinates, rank is {r}")
@@ -375,7 +376,7 @@ class CoverGraph:
         digits = np.arange(m ** r, dtype=np.int64)[:, None] // weights % m
         shifted = ((digits + np.asarray(shift, dtype=np.int64)) % m) @ weights
         n = self.base.n
-        return (shifted[:, None] * n + np.arange(n)).ravel().tolist()
+        return (shifted[:, None] * n + np.arange(n)).ravel()
 
 
 def homology_cover(graph: Graph, m: int) -> CoverGraph:

@@ -74,11 +74,9 @@ def _rescaled(graph: Graph, vectors: np.ndarray, name: str) -> LipschitzMap:
 def spectral_maps(g: Graph, deco: LiftDecomposition) -> list[LipschitzMap]:
     """Embeddings along the two bottom relative eigenvectors, rescaled to
     Lipschitz constant one."""
-    out = []
-    for j in range(min(2, deco.relative_vectors.shape[1])):
-        vec = deco.relative_vectors[:, j:j + 1]
-        out.append(_rescaled(g, vec, f"relative-eigenvector-{j}"))
-    return out
+    vecs = deco.relative_vectors(2)
+    return [_rescaled(g, vecs[:, j:j + 1], f"relative-eigenvector-{j}")
+            for j in range(vecs.shape[1])]
 
 
 def distance_map(g: Graph) -> LipschitzMap:

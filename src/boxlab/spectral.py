@@ -16,12 +16,13 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
+# vertices of the largest graph solved densely: spectrum() solves the whole
+# adjacency, and lift_decomposition on non-commuting monodromy one block of
+# |H| (f - 1) rows
 DENSE_LIMIT = 4000
 # relative eigenvalue gaps of T, per unit of its scale, below which
 # lift_decomposition keeps sheet blocks together
 BLOCK_GAP = 1e-4
-# relative vectors per sparse product in lift_decomposition's residual check
-RESIDUAL_CHUNK = 512
 # per unit of degree; converged extreme_spectrum residuals measured 1.1e-14
 # or less on LPS graphs up to q=61
 POLISHED_RESIDUAL = 1e-12
@@ -57,16 +58,22 @@ class ExtremeSpectrum:
 
 
 def spectrum(graph: Graph) -> Spectrum:
-    """Full adjacency spectrum by a dense solve (|V| <= 4000); the extreme
-    eigenvalues of larger graphs come from extreme_spectrum."""
+    """Full adjacency spectrum by a dense divide-and-conquer solve
+    (|V| <= 4000), which deflates the repeated eigenvalues that symmetric
+    graphs have in bulk; the residual is taken against the sparse adjacency.
+    The extreme eigenvalues of larger graphs come from extreme_spectrum."""
     if graph.n > DENSE_LIMIT:
         raise ResourceLimitError(
             f"dense spectrum limited to {DENSE_LIMIT} vertices, got {graph.n}")
     from scipy.linalg import eigh
 
-    a = graph.adjacency_matrix()
-    vals, vecs = eigh(a)
-    residual = float(np.abs(a @ vecs - vecs * vals).max())
+    # the adjacency is symmetric, so its transpose is the same matrix in the
+    # Fortran order that LAPACK overwrites with the eigenvectors, uncopied
+    vals, vecs = eigh(graph.adjacency_matrix().T, driver="evd",
+                      overwrite_a=True)
+    r = graph.sparse_adjacency() @ vecs
+    r -= vecs * vals
+    residual = float(np.abs(r, out=r).max())
     k = graph.k if graph.is_regular() else int(graph.degrees().max())
     if residual > 1e-9 * max(1, k):
         raise RuntimeError(f"dense solve residual {residual} too large")
@@ -183,15 +190,44 @@ class LiftDecomposition:
     lifted: Spectrum                 # laplacian values, |H| of them
     relative: Spectrum               # laplacian values, |G| - |H| of them
     epsilon: float                   # min of the relative part, +inf if empty
-    relative_vectors: np.ndarray     # columns are relative eigenvectors on G
+    vertex: np.ndarray               # [b, s]: the vertex of g over b on sheet s
+    # per block dimension: (eigenvectors, sheet basis) of its blocks
+    solved: list[tuple[np.ndarray, np.ndarray]]
+    # position of each relative value, in ascending order, among the blocks'
+    # eigenvalues taken block dimension by block dimension, block by block
+    order: np.ndarray
+
+    def relative_vectors(self, count: int | None = None) -> np.ndarray:
+        """The relative eigenvectors on g of the first ``count`` (default:
+        all) relative values, as columns in that order; RuntimeError unless
+        their fiber sums vanish."""
+        picked = self.order[:count]
+        n_base = self.vertex.shape[0]
+        out = np.zeros((self.vertex.size, len(picked)))
+        start = 0
+        for vecs, basis in self.solved:
+            nb, _, dim = basis.shape
+            size = n_base * dim
+            cols = np.flatnonzero((picked >= start) & (picked < start + nb * size))
+            b, e = np.divmod(picked[cols] - start, size)
+            # values[c, h, s]: sum over t of vecs[b, h * dim + t, e] * basis[b, s, t]
+            values = np.einsum("cht,cst->chs",
+                               vecs[b, :, e].reshape(len(cols), n_base, dim),
+                               basis[b])
+            if np.abs(values.sum(axis=2)).max(initial=0.0) > 1e-8:
+                raise RuntimeError("relative eigenvectors have nonzero fiber sums")
+            out[np.ix_(self.vertex.ravel(), cols)] = \
+                values.reshape(len(cols), self.vertex.size).T
+            start += nb * size
+        return out
 
 
 def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     """Split the Laplacian spectrum of g into the part lifted from h
     (functions constant on fibers) and the relative part (functions with zero
     fiber sums).  The lifted part is the spectrum of h; ResourceLimitError
-    above DENSE_LIMIT vertices, since the relative vectors are a dense
-    |G| x (|G| - |H|) array.
+    above DENSE_LIMIT vertices, since non-commuting monodromy leaves one
+    dense block of |H| (f - 1) rows.
 
     No |G|-square matrix is formed.  Lifting a BFS spanning forest of h
     labels each vertex of g by (base vertex, sheet), and each arc e of h
@@ -201,13 +237,21 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     with every P_e, so each eigenspace V of T on 1-perp gives an invariant
     block R^|H| (x) V of the relative part, solved alone.  Abelian
     monodromy (every homology cover) gives blocks of dimension 1 or 2;
-    non-commuting monodromy one block of dimension f - 1.
+    non-commuting monodromy one block of dimension f - 1.  The relative
+    eigenvectors on g are built on request, by relative_vectors().
 
     Certificates: the sheet basis and the block eigenvectors are
-    orthonormal, the relative vectors have zero fiber sums, and
-    sqrt(|G|) * max ||L_g v - lambda v|| over the lifted and relative
-    eigenpairs, which bounds (Weyl) how far each eigenvalue of L_g lies from
-    the returned one of the same rank, is at most 1e-9 * k."""
+    orthonormal, and sqrt(|G|) times the largest residual bound over the
+    lifted and relative eigenpairs, which bounds (Weyl) how far each
+    eigenvalue of L_g lies from the returned one of the same rank, is at
+    most 1e-9 * k.  A lifted eigenvector of g has the residual of its base
+    eigenvector.  For block j with sheet basis B_j and operator Op_j, the
+    dim x dim block M of each arc i of h is read back from Op_j, and
+    D = B_j[P_i] - B_j M is formed with P_i taken from g's own arcs; with
+    diagonal blocks k I and zeros off the arcs, the relative pair
+    (lambda, (I (x) B_j) u) has residual on g at most
+    ||Op_j u - lambda u|| + k max_i ||D||_F (Schur's test over the k arcs
+    of each block row and column)."""
     if g.n > DENSE_LIMIT:
         raise ResourceLimitError(
             f"lift decomposition limited to {DENSE_LIMIT} vertices, got {g.n}")
@@ -219,62 +263,60 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     k = g.k
     if h.k != k:
         raise ValueError("base and total graph must share the regularity")
-    vertex, perms, arc_perm = _sheets(g, h, fiber_map, blocks)
+    # nbr[u, j] is the neighbour of u over the j-th neighbour of its base
+    nbr = covering_neighbours(g, h, fiber_map).reshape(g.n, h.k)
+    vertex, perms, arc_perm = _sheets(h, nbr, blocks)
+    f = blocks.shape[1]
+    sheet = np.empty(g.n, dtype=np.int64)
+    sheet[vertex] = np.arange(f)
+    # [i, s]: the sheet of g's neighbour of the vertex on sheet s along arc i
+    moves = sheet[nbr[vertex].transpose(0, 2, 1).reshape(-1, f)]
 
     lap_h = k * np.eye(h.n) - h.adjacency_matrix()
-    h_vals = np.sort(eigh(lap_h, eigvals_only=True))
-    # the vectors only serve the residual: a lifted eigenvector of g has the
-    # residual of its base eigenvector
-    _, h_vecs = eigh(lap_h)
+    h_vals, h_vecs = eigh(lap_h, driver="evd")
     worst = np.linalg.norm(lap_h @ h_vecs - h_vecs * h_vals, axis=0).max(
         initial=0.0)
 
     src, dst = h.arcs()
     diag = np.arange(h.n)
+    off_arcs = np.ones((h.n, h.n), dtype=bool)
+    off_arcs[src, dst] = off_arcs[diag, diag] = False
     solved = []                  # (values, vectors, basis) per block dimension
-    for basis in _sheet_blocks(perms, blocks.shape[1]):
+    for basis in _sheet_blocks(perms, f):
         nb, _, dim = basis.shape
         # basis^T P basis for each distinct arc permutation, (P x)[s] = x[P[s]]
         moved = np.einsum("bsd,bpse->bpde", basis, basis[:, perms])
         op = np.zeros((nb, h.n, dim, h.n, dim))
         op[:, src, :, dst, :] = -moved[:, arc_perm].transpose(1, 0, 2, 3)
         op[:, diag, :, diag, :] += k * np.eye(dim)
-        vals, vecs = np.linalg.eigh(op.reshape(nb, h.n * dim, h.n * dim))
+        op = op.reshape(nb, h.n * dim, h.n * dim)
+        vals, vecs = np.linalg.eigh(op)
         gram = vecs.transpose(0, 2, 1) @ vecs
         if np.abs(gram - np.eye(h.n * dim)).max(initial=0.0) > 1e-9:
             raise RuntimeError("block eigenvectors are not orthonormal")
+        # [block, b, b']: the dim x dim tile of Op_j from b to b'
+        tiles = op.reshape(nb, h.n, dim, h.n, dim).transpose(0, 1, 3, 2, 4)
+        if (tiles[:, diag, diag] != k * np.eye(dim)).any() \
+                or tiles[:, off_arcs].any():
+            raise RuntimeError("block operators have entries off the arcs "
+                               "of h or off k on their diagonal")
+        # D = B[P_i] - B M for every arc i, the tile of arc i being -M
+        leak = basis[:, moves] + basis[:, None] @ tiles[:, src, dst]
+        residual = np.linalg.norm(op @ vecs - vecs * vals[:, None], axis=1)
+        bound = residual.max(axis=1) + k * np.linalg.norm(
+            leak, axis=(2, 3)).max(axis=1, initial=0.0)
+        worst = max(worst, bound.max(initial=0.0))
         solved.append((vals, vecs, basis))
 
     rel_vals = np.concatenate([s[0].ravel() for s in solved] + [np.zeros(0)])
     if len(rel_vals) != g.n - h.n:
         raise RuntimeError(f"blocks carry {len(rel_vals)} relative "
                            f"eigenvalues, expected {g.n - h.n}")
-    order = np.argsort(rel_vals, kind="stable")
-    column = np.empty(len(order), dtype=np.int64)
-    column[order] = np.arange(len(order))
-    rel_vals = rel_vals[order]
-    rel_vectors = np.zeros((g.n, len(order)))
-    start = 0
-    for vals, vecs, basis in solved:
-        nb, _, dim = basis.shape
-        # values[b, s, block, i]: sum over t of
-        # vecs[block, b * dim + t, i] * basis[block, s, t]
-        values = np.einsum("bhte,bst->hsbe",
-                           vecs.reshape(nb, h.n, dim, h.n * dim), basis)
-        if np.abs(values.sum(axis=1)).max(initial=0.0) > 1e-8:
-            raise RuntimeError("relative eigenvectors have nonzero fiber sums")
-        cols = column[start:start + vals.size]
-        rel_vectors[np.ix_(vertex.ravel(), cols)] = values.reshape(g.n, -1)
-        start += vals.size
-
-    a = g.sparse_adjacency()
-    for i in range(0, len(order), RESIDUAL_CHUNK):
-        v = rel_vectors[:, i:i + RESIDUAL_CHUNK]
-        r = a @ v - v * (k - rel_vals[i:i + RESIDUAL_CHUNK])
-        worst = max(worst, np.linalg.norm(r, axis=0).max())
     if math.sqrt(g.n) * worst > 1e-9 * max(1, k):
         raise RuntimeError(f"lifted and relative parts do not recombine: "
                            f"Weyl bound {math.sqrt(g.n) * worst:.3g}")
+    order = np.argsort(rel_vals, kind="stable")
+    rel_vals = rel_vals[order]
 
     return LiftDecomposition(
         lifted=Spectrum(values=tuple(float(v) for v in h_vals),
@@ -282,24 +324,23 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
         epsilon=float(rel_vals[0]) if len(rel_vals) else math.inf,
-        relative_vectors=rel_vectors)
+        vertex=vertex, solved=[s[1:] for s in solved], order=order)
 
 
-def _sheets(g: Graph, h: Graph, fiber_map,
+def _sheets(h: Graph, nbr: np.ndarray,
             blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex, perms, arc_perm): vertex[b, s] is the vertex of g over b on
     sheet s, and arc i of h, in h.arcs() order, carries sheet s to sheet
     perms[arc_perm[i], s]; perms holds each distinct permutation once.
+    nbr[u, j] is the neighbour of u over the j-th neighbour of its base
+    vertex, as covering_neighbours gives it.
 
     The sheets over the root of each component of h are its row of blocks,
     and each arc of a BFS spanning forest of h carries them unchanged to the
-    child.  ValueError unless every vertex of g has exactly one neighbour
-    over each neighbour of its base vertex."""
+    child."""
     from scipy.sparse.csgraph import connected_components
 
     f = blocks.shape[1]
-    # nbr[u, j] is the neighbour of u over the j-th neighbour of its base
-    nbr = covering_neighbours(g, h, fiber_map).reshape(g.n, h.k)
     labels = connected_components(h.sparse_adjacency(), directed=False)[1]
     roots = np.unique(labels, return_index=True)[1]
     _, parent, via, depth = bfs_tree(h.indptr, h.indices, roots)
@@ -307,7 +348,7 @@ def _sheets(g: Graph, h: Graph, fiber_map,
     for d in range(1, int(depth.max(initial=0)) + 1):
         level = np.flatnonzero(depth == d)
         vertex[level] = nbr[vertex[parent[level]], via[level, None]]
-    sheet = np.empty(g.n, dtype=np.int64)
+    sheet = np.empty(len(nbr), dtype=np.int64)
     sheet[vertex] = np.arange(f)
     # [i, s]: the neighbour of the vertex on sheet s along arc i of h
     heads = nbr[vertex].transpose(0, 2, 1).reshape(-1, f)

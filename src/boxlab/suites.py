@@ -230,7 +230,7 @@ def criterion_lift(seed: int = 0) -> dict:
         base_vals = spectrum(h).laplacian_values()
         diff = max(abs(a - b) for a, b in zip(deco.lifted.values, base_vals))
         ok = diff <= 1e-9 and len(deco.lifted.values) == h.n
-        sums = deco.relative_vectors[fibers(fiber_map, h.n)].sum(axis=1)
+        sums = deco.relative_vectors()[fibers(fiber_map, h.n)].sum(axis=1)
         fiber_max = float(abs(sums).max(initial=0.0))
         ok = ok and fiber_max <= 1e-8
         rows.append({"pair": name, "epsilon": deco.epsilon,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxlab import spectral
 from boxlab.errors import ResourceLimitError
 from boxlab.graphs import (Graph, complete, complete_bipartite, cycle, girth,
                            homology_cover, petersen)
 from boxlab.suites import lps_cayley
-from boxlab.spectral import (POLISHED_RESIDUAL, ExtremeSpectrum,
-                             LiftDecomposition, Spectrum,
+from boxlab.spectral import (POLISHED_RESIDUAL, ExtremeSpectrum, Spectrum,
                              eigenvalue_threshold, extreme_spectrum,
                              lift_decomposition, nb_spectral_formula,
                              nb_trace, ramanujan_check, spectrum,
@@ -143,7 +143,7 @@ def test_lift_decomposition_c8_c4():
                        2 + math.sqrt(2), 2 + math.sqrt(2)])
     assert np.allclose(rel, expected, atol=1e-9)
     assert abs(deco.epsilon - (2 - math.sqrt(2))) < 1e-9
-    assert deco.relative_vectors.shape == (8, 4)
+    assert deco.relative_vectors().shape == (8, 4)
 
 
 def test_lift_decomposition_trivial_quotient():
@@ -167,7 +167,7 @@ def test_lift_decomposition_cover_k4():
     # relative eigenvectors sum to zero on every fiber
     for bv in range(4):
         fiber = [v for v, p in enumerate(cover.projection) if p == bv]
-        sums = deco.relative_vectors[fiber, :].sum(axis=0)
+        sums = deco.relative_vectors()[fiber, :].sum(axis=0)
         assert np.abs(sums).max() < 1e-8
 
 
@@ -179,10 +179,19 @@ def test_lift_decomposition_rejects_bad_fibers():
 # --- the block split against the dense oracle --------------------------------
 
 
-def lift_decomposition_brute(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
+@dataclasses.dataclass(eq=False)
+class BruteLift:
+    lifted: Spectrum
+    relative: Spectrum
+    epsilon: float
+
+
+def lift_decomposition_brute(g: Graph, h: Graph, fiber_map) -> BruteLift:
     """Split the Laplacian spectrum of g into the part lifted from h
     (functions constant on fibers) and the relative part (functions with zero
-    fiber sums).  The lifted part must match the spectrum of h exactly."""
+    fiber sums).  The lifted part must match the spectrum of h exactly.
+    Every solve uses scipy's default driver (MRRR), a different LAPACK
+    algorithm from the divide and conquer that spectrum() runs."""
     fiber_map = tuple(fiber_map)
     if len(fiber_map) != g.n:
         raise ValueError("fiber map must assign every vertex of g")
@@ -243,12 +252,12 @@ def lift_decomposition_brute(g: Graph, h: Graph, fiber_map) -> LiftDecomposition
     if np.abs(fiber_sums).max(initial=0.0) > 1e-8:
         raise RuntimeError("relative eigenvectors have nonzero fiber sums")
 
-    return LiftDecomposition(
+    return BruteLift(
         lifted=Spectrum(values=tuple(float(v) for v in h_vals),
                         operator="laplacian", k=k),
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
-        epsilon=epsilon, relative_vectors=rel_vectors)
+        epsilon=epsilon)
 
 
 def voltage_cover(h: Graph, f: int, voltages: dict, seed: int = 0):
@@ -276,8 +285,10 @@ def assert_matches_brute(g, h, fiber_map):
         assert deco.epsilon == math.inf
     else:
         assert abs(deco.epsilon - ref.epsilon) <= 1e-9
-    vecs = deco.relative_vectors
+    vecs = deco.relative_vectors()
     assert vecs.shape == (g.n, g.n - h.n)
+    for count in (0, 1, 2):
+        assert np.array_equal(deco.relative_vectors(count), vecs[:, :count])
     assert np.abs(vecs.T @ vecs - np.eye(g.n - h.n)).max(initial=0) <= 1e-9
     proj = np.asarray(fiber_map)
     for b in range(h.n):
@@ -361,6 +372,66 @@ def test_lift_rejects_a_cover_above_the_dense_limit(monkeypatch):
     assert cover.graph.n == 7290
     with pytest.raises(ResourceLimitError, match="4000"):
         lift_decomposition(cover.graph, cover.base, cover.projection)
+
+
+@pytest.mark.parametrize("name,m", [("C6", 3), ("K4", 3), ("K33", 3)])
+def test_lift_certificate_rejects_split_blocks(corpus_cover, monkeypatch,
+                                               name, m):
+    # characters of Z_3 come in conjugate pairs: real blocks of dimension 2,
+    # and neither line of such a plane is invariant under the monodromy
+    cover = corpus_cover(name, m)
+    real_blocks = spectral._sheet_blocks
+
+    def split(perms, f):
+        out = []
+        for basis in real_blocks(perms, f):
+            dims.append(basis.shape[2])
+            if basis.shape[2] == 2:
+                basis = np.concatenate([basis[:, :, :1], basis[:, :, 1:]])
+            out.append(basis)
+        return out
+
+    dims = []
+    monkeypatch.setattr(spectral, "_sheet_blocks", split)
+    with pytest.raises(RuntimeError, match="do not recombine"):
+        lift_decomposition(cover.graph, cover.base, cover.projection)
+    assert 2 in dims
+
+
+@pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 2), ("K4", 3),
+                                    ("petersen", 2)])
+def test_lift_certificate_ties_blocks_to_g(corpus_cover, monkeypatch, name, m):
+    # a swap inside one arc permutation after _sheets' own rebuild check
+    # assembles the block operators of another graph over the base.  On C6
+    # m=2 it turns the one transposition into the identity: the operators
+    # are those of two disjoint copies of C6, symmetric and solved to
+    # rounding, and only the read-back against g's arcs tells
+    cover = corpus_cover(name, m)
+    real_sheets = spectral._sheets
+
+    def swapped(h, nbr, blocks):
+        vertex, perms, arc_perm = real_sheets(h, nbr, blocks)
+        perms = perms.copy()
+        perms[-1, [0, 1]] = perms[-1, [1, 0]]
+        return vertex, perms, arc_perm
+
+    lift_decomposition(cover.graph, cover.base, cover.projection)
+    monkeypatch.setattr(spectral, "_sheets", swapped)
+    with pytest.raises(RuntimeError, match="do not recombine"):
+        lift_decomposition(cover.graph, cover.base, cover.projection)
+
+
+def test_spectrum_matches_mrrr_driver(corpus_cover):
+    from scipy.linalg import eigh
+
+    names = ("C6", "K4", "K33", "petersen", "psl23")
+    graphs = [corpus_cover(name, 2).base for name in names]
+    graphs += [corpus_cover(name, m).graph for name in names for m in (2, 3)]
+    graphs = [g for g in graphs if g.n <= spectral.DENSE_LIMIT]
+    assert len(graphs) == 13         # petersen and psl23 at m=3 are too large
+    for g in graphs:
+        ref = eigh(g.adjacency_matrix(), driver="evr", eigvals_only=True)
+        assert np.abs(np.subtract(spectrum(g).values, ref)).max() <= 1e-9
 
 
 def test_spectrum_above_dense_limit_is_a_resource_limit():
@@ -463,7 +534,8 @@ def test_trace_audit_cosh_bound():
 def test_write_spectrum_csv(tmp_path):
     path = str(tmp_path / "spectrum.csv")
     write_spectrum_csv(spectrum(complete(4)), path)
-    rows = open(path).read().strip().splitlines()
+    with open(path) as fh:
+        rows = fh.read().strip().splitlines()
     assert rows[0] == "eigenvalue,multiplicity"
     assert rows[1] == "-1,3"
     assert rows[2] == "3,1"

@@ -301,9 +301,12 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
         gen = elements[int(np.argmin(parent >= 0))]     # first unreached
         columns = np.hstack([columns, graphs.generator_table(
             elements, mul, [gen])[1]])
-    # [i, j] = idx(e_i e_j): tree_products' columns follow the BFS order
+    # [i, j] = idx(e_i e_j): tree_products' columns follow the BFS order,
+    # put into element order a row at a time, with no second table
     table = graphs.tree_products(columns, order, parent, via)
-    table = table[:, np.argsort(order)]
+    rank = np.argsort(order)
+    for row in table:
+        row[:] = row[rank]
     for i in range(size - 1, -1, -graphs.SPOT_STRIDE):
         for j, ij in enumerate(table[i].tolist()):
             if mul(elements[i], elements[j]) != elements[ij]:

@@ -8,6 +8,7 @@ adjacency view and raises unless the Laplacian reading agrees.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +24,10 @@ DENSE_LIMIT = 4000
 # relative eigenvalue gaps of T, per unit of its scale, below which
 # lift_decomposition keeps sheet blocks together
 BLOCK_GAP = 1e-4
-# per unit of degree; converged extreme_spectrum residuals measured 1.1e-14
-# or less on LPS graphs up to q=61
+# per unit of degree, the residual that extreme_spectrum's certificate must
+# reach before it stops: its Lanczos run goes on until T's estimates are 100
+# times below it, and the measured residuals against A were 4e-15 to 6e-14
+# on LPS graphs at q = 29, 41, 61 (seeds 0-9)
 POLISHED_RESIDUAL = 1e-12
 
 
@@ -83,20 +86,28 @@ def spectrum(graph: Graph) -> Spectrum:
 
 def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
     """Second-largest and smallest adjacency eigenvalues of a regular graph,
-    both from one restarted Krylov run (``which="BE"``) on A restricted to
-    the complement of the constant vector, the known top eigenvector
-    (eigenvalue k).  The restriction is exact: the operator acts on
-    coordinates in a Householder basis of that complement, so the constant
-    direction is not in its space even when every other eigenvalue is
-    negative.  Each value is the Rayleigh quotient of its lifted vector,
-    certified by its residual against A.
+    both from one Lanczos run on A restricted to the complement of the
+    constant vector, the known top eigenvector (eigenvalue k).  The
+    restriction is exact: A maps 1-perp to itself, and each step subtracts
+    its vector's mean, so the constant direction cannot return by rounding
+    even when every other eigenvalue is negative (K_n gives -1, not k).
 
-    A two-ended run keeps only its two wanted Ritz values across restarts,
-    and its Ritz vectors can stop short of rounding level: at q=29, 3 of 8
-    seeds left a residual near 2e-10.  A run above POLISHED_RESIDUAL is
-    followed by one more from the sum of its two Ritz vectors, which took
-    39 matvecs in those cases."""
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    The first pass keeps the last three Lanczos vectors and the
+    coefficients of the tridiagonal T: the plain three-term recurrence,
+    without reorthogonalisation, checks T every 10 steps and stops once
+    the bottom entries of T's two extreme eigenvectors, times the last
+    beta, are 100 times below POLISHED_RESIDUAL, or when the Krylov space
+    is exhausted.  A second pass regenerates the same Lanczos vectors from the
+    stored coefficients and sums the two Ritz vectors, so memory stays O(n).
+    T decides only when to stop: each value is the Rayleigh quotient of its
+    Ritz vector, certified by its residual against A.  A run above
+    POLISHED_RESIDUAL is followed by one more from the sum of its two Ritz
+    vectors.
+
+    Dot products are einsum reductions, not BLAS calls: on a 2-core host a
+    BLAS dot in the loop doubled the CPU time of a q=29 solve, by waking
+    OpenBLAS threads that then spin between the sparse matvecs."""
+    from scipy.linalg import eigh_tridiagonal
 
     n = graph.n
     k = graph.k
@@ -105,41 +116,71 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
                          "constant vector; a two-ended Krylov run needs 3: "
                          "use spectrum()")
     a = graph.sparse_adjacency()
-    # H = I - 2 u u^T / |u|^2 with u = e_0 + r*1, r = 1/sqrt(n), swaps -e_0
-    # and the unit constant vector, so its columns 1..n-1 are an orthonormal
-    # basis of 1-perp.  u.v is taken as a sum, not a BLAS dot: on a 2-core
-    # host a BLAS call inside the matvec made each Lanczos step about 3x
-    # slower, by waking OpenBLAS threads between ARPACK's own BLAS calls.
-    r = 1 / math.sqrt(n)
+    scale = max(1, k)
 
-    def reflect(v):
-        s = (v.sum() * r + v[0]) / (1 + r)      # 2 u.v / |u|^2
-        w = v - s * r
-        w[0] -= s
-        return w
+    def dot(u, v):
+        return float(np.einsum("i,i", u, v))
 
-    def lift(y):
-        return reflect(np.concatenate(([0.0], np.ravel(y))))
+    def unit(v):
+        v = v - v.mean()
+        return v / math.sqrt(dot(v, v))
 
-    def certified(y):
-        vec = lift(y)
-        vec /= np.linalg.norm(vec)
-        lam = float(vec @ (a @ vec))
-        res = float(np.linalg.norm(a @ vec - lam * vec))
-        return lam, res
+    def lanczos(v, alphas, betas):
+        """Yield v_0 = v, v_1, ... in 1-perp.  Coefficients past the end of
+        alphas and betas are measured and appended, stored ones are reused,
+        so a second run yields the same vectors bit for bit.  Returns at a
+        breakdown, where the Krylov space is invariant."""
+        prev, b = v, 0.0
+        for j in itertools.count():
+            yield v
+            w = a @ v
+            w -= w.mean()
+            w -= b * prev
+            if j == len(alphas):
+                alphas.append(dot(w, v))
+                w -= alphas[j] * v
+                betas.append(math.sqrt(dot(w, w)))
+                if betas[j] <= 1e-13 * scale:
+                    return
+            else:
+                w -= alphas[j] * v
+            w /= betas[j]
+            prev, v, b = v, w, betas[j]
 
-    op = LinearOperator((n - 1, n - 1), matvec=lambda y: reflect(a @ lift(y))[1:],
-                        dtype=float)
-    rng = np.random.default_rng(seed)
-    v0 = reflect(rng.standard_normal(n))[1:]
+    def ritz(alphas, betas):
+        """Eigenvectors s of T for its smallest and largest values, as two
+        columns, and the residual estimates |beta_m s_m| of their Ritz
+        pairs."""
+        _, s = eigh_tridiagonal(alphas, betas[:-1])
+        s = s[:, [0, -1]]
+        return s, np.abs(betas[-1] * s[-1])
+
+    def certified(vec):
+        vec = unit(vec)
+        av = a @ vec
+        lam = dot(vec, av)
+        av -= lam * vec
+        return lam, math.sqrt(dot(av, av))
+
+    v0 = unit(np.random.default_rng(seed).standard_normal(n))
     for _ in range(2):
-        vals, vecs = eigsh(op, k=2, which="BE", v0=v0, tol=0)
-        smallest, res_s = certified(vecs[:, np.argmin(vals)])
-        second, res2 = certified(vecs[:, np.argmax(vals)])
-        if max(res2, res_s) <= POLISHED_RESIDUAL * max(1, k):
+        alphas, betas = [], []
+        for j, _ in enumerate(lanczos(v0, alphas, betas)):
+            # T has j rows once v_j is out
+            if j == n - 1 or j and j % 10 == 0 and ritz(alphas, betas)[1].max() \
+                    <= 1e-2 * POLISHED_RESIDUAL * scale:
+                break
+        s, _ = ritz(alphas, betas)
+        vecs = np.zeros((2, n))
+        for row, v in zip(s, lanczos(v0, alphas, betas)):
+            for vec, c in zip(vecs, row):
+                vec += c * v
+        smallest, res_s = certified(vecs[0])
+        second, res2 = certified(vecs[1])
+        if max(res2, res_s) <= POLISHED_RESIDUAL * scale:
             break
-        v0 = vecs.sum(axis=1)
-    if max(res2, res_s) > 1e-7 * max(1, k):
+        v0 = unit(vecs.sum(axis=0))
+    if max(res2, res_s) > 1e-7 * scale:
         raise RuntimeError(f"extreme solve residual too large: {res2}, {res_s}")
     return ExtremeSpectrum(k=k, n=n, second_largest=second, smallest=smallest,
                            residual_second=res2, residual_smallest=res_s)

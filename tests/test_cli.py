@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ def test_depth_condition_dominated_by_power_term():
 def test_cli_feasibility(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     assert main(["feasibility", "--q", "29", "--k", "1", "--out", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["version"] == 1
     assert report["command"] == "feasibility"
     assert report["results"][0]["details"]["n_min"] == 6 * (6 + 2 * 29 ** 4)
@@ -45,7 +46,7 @@ def test_cli_feasibility_rejects_invalid_input(tmp_path, capsys, q, k):
 def test_cli_pipeline_hensel(tmp_path):
     out = str(tmp_path / "hensel.json")
     assert main(["pipeline", "--suite", "hensel", "--out", out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["pass"]
     assert {r["criterion"] for r in report["results"]} == {2, 3}
 
@@ -55,7 +56,7 @@ def test_cli_pipeline_reports_byte_identical(tmp_path):
     out2 = str(tmp_path / "b.json")
     main(["pipeline", "--suite", "spectra", "--seed", "7", "--out", out1])
     main(["pipeline", "--suite", "spectra", "--seed", "7", "--out", out2])
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_unknown_suite():
@@ -67,7 +68,7 @@ def test_cli_unknown_suite():
 def test_cli_report_schema(tmp_path):
     out = str(tmp_path / "r.json")
     main(["pipeline", "--suite", "spectra", "--out", out])
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert set(report) >= {"version", "command", "params", "seed", "results", "pass"}
     for item in report["results"]:
         assert set(item) >= {"name", "passed", "details"}
@@ -90,7 +91,7 @@ def test_cli_failing_suite_exits_nonzero(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "fail.json")
     assert main(["pipeline", "--suite", "spectra", "--out", out]) == 1
     assert "always-fails" in capsys.readouterr().err
-    assert json.loads(open(out).read())["pass"] is False
+    assert json.loads(Path(out).read_text())["pass"] is False
 
     def crashing(seed: int = 0):
         raise ZeroDivisionError("boom")
@@ -98,7 +99,7 @@ def test_cli_failing_suite_exits_nonzero(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(suites.SUITES, "spectra", (crashing,))
     assert main(["pipeline", "--suite", "spectra", "--seed", "3",
                  "--out", out]) == 1
-    details = json.loads(open(out).read())["results"][0]["details"]
+    details = json.loads(Path(out).read_text())["results"][0]["details"]
     assert details == {"error": "ZeroDivisionError('boom')", "seed": 3}
 
 
@@ -106,10 +107,10 @@ def test_cli_csv_export(tmp_path):
     out = str(tmp_path / "r.json")
     csv_dir = str(tmp_path / "csv")
     main(["pipeline", "--suite", "spectra", "--out", out, "--csv-dir", csv_dir])
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert len(report["csv_files"]) == 4
     for path in report["csv_files"]:
-        rows = open(path).read().splitlines()
+        rows = Path(path).read_text().splitlines()
         assert rows[0] == "eigenvalue,multiplicity"
         assert len(rows) > 1
 
@@ -141,9 +142,9 @@ def test_cli_timings_per_criterion(tmp_path, monkeypatch):
     assert main(["pipeline", "--suite", "spectra", "--out", plain]) == 0
     assert main(["pipeline", "--suite", "spectra", "--timings",
                  "--out", timed]) == 0
-    report = json.loads(open(timed).read())
+    report = json.loads(Path(timed).read_text())
     timings = report.pop("timings")
-    assert report == json.loads(open(plain).read())
+    assert report == json.loads(Path(plain).read_text())
     assert set(timings) == {"total_seconds", "criteria"}
     assert sorted(timings["criteria"]) == \
         sorted(r["name"] for r in report["results"])

@@ -116,15 +116,45 @@ def test_extreme_mode_matches_dense(corpus_cover):
             assert cert.margin == cert.bound
 
 
-@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("seed", range(5))
 def test_extreme_spectrum_residuals_at_rounding_level(seed):
-    # at q=29 a single two-ended run stops near 2e-10 for these seeds
+    # the Lanczos run stops on T's estimates; the residuals are measured
+    # against A, and at q=29 they come out between 4e-15 and 6e-14
     g = lps_cayley(29).graph
     ext = extreme_spectrum(g, seed=seed)
     assert max(ext.residual_second, ext.residual_smallest) <= \
         POLISHED_RESIDUAL * g.k
     assert ext.second_largest == pytest.approx(4.442016442593806, abs=1e-12)
     assert ext.smallest == pytest.approx(-4.410655995562926, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["psl23", "petersen"])
+def test_extreme_spectrum_matches_dense_on_covers(corpus_cover, name):
+    # the PSL(2, 3) m=2 cover (1,536 vertices) is not vertex-transitive
+    g = corpus_cover(name, 2).graph
+    dense = spectrum(g).values
+    for seed in range(3):
+        ext = extreme_spectrum(g, seed=seed)
+        assert abs(ext.second_largest - dense[-2]) < 1e-10
+        assert abs(ext.smallest - dense[0]) < 1e-10
+        assert max(ext.residual_second, ext.residual_smallest) <= \
+            POLISHED_RESIDUAL * g.k
+
+
+def test_extreme_spectrum_certifies_against_a_not_t(corpus_cover,
+                                                   monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+    rng = np.random.default_rng(0)
+
+    def perturbed(d, e):
+        vals, vecs = solve(d, e)
+        return vals, vecs + 1e-4 * rng.standard_normal(vecs.shape)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
+    with pytest.raises(RuntimeError, match="residual too large"):
+        extreme_spectrum(corpus_cover("petersen", 2).graph)
 
 
 def test_extreme_spectrum_too_small_points_to_dense():

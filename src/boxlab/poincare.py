@@ -52,12 +52,14 @@ def poincare_sum(phi: LipschitzMap, blocks: np.ndarray) -> float:
         raise ValueError(
             f"map {phi.name!r} is not 1-Lipschitz: stretch {stretch:.6g} "
             f"on edge {edge}")
-    # sum_{x != y in B} ||phi x - phi y||^2 = 2 |B| sum_{x in B} ||phi x - mean_B||^2;
-    # centring first keeps a large common offset from cancelling
-    block_vectors = np.asarray(phi.vectors, dtype=float)[blocks]
+    # sum_{x != y in B} |phi x - phi y|^2
+    #     = 2 |B| sum_{x in B} |phi x - mean_B|^2;
+    # centring first keeps a large common offset from cancelling, and the
+    # modulus keeps the imaginary part of a complex map
+    block_vectors = np.asarray(phi.vectors)[blocks]
     centred = block_vectors - block_vectors.mean(axis=1, keepdims=True)
     pairs = blocks.size * (f - 1)
-    return 2 * f * math.fsum((centred * centred).ravel()) / pairs
+    return 2 * f * math.fsum((centred * centred.conj()).real.ravel()) / pairs
 
 
 # --- the test-map suite ------------------------------------------------------

@@ -18,12 +18,9 @@ from .errors import ResourceLimitError
 from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
 # vertices of the largest graph solved densely: spectrum() solves the whole
-# adjacency, and lift_decomposition on non-commuting monodromy one block of
-# |H| (f - 1) rows
+# adjacency, and lift_decomposition one f x f matrix T for the characters of
+# its f <= |G| sheets
 DENSE_LIMIT = 4000
-# relative eigenvalue gaps of T, per unit of its scale, below which
-# lift_decomposition keeps sheet blocks together
-BLOCK_GAP = 1e-4
 # per unit of degree, the residual that extreme_spectrum's certificate must
 # reach before it stops: its Lanczos run goes on until T's estimates are 100
 # times below it, and the measured residuals against A were 4e-15 to 6e-14
@@ -232,67 +229,51 @@ class LiftDecomposition:
     relative: Spectrum               # laplacian values, |G| - |H| of them
     epsilon: float                   # min of the relative part, +inf if empty
     vertex: np.ndarray               # [b, s]: the vertex of g over b on sheet s
-    # per block dimension: (eigenvectors, sheet basis) of its blocks
-    solved: list[tuple[np.ndarray, np.ndarray]]
-    # position of each relative value, in ascending order, among the blocks'
-    # eigenvalues taken block dimension by block dimension, block by block
+    # [c, s]: the vector of character c is omega^exponents[c, s] / sqrt(f)
+    exponents: np.ndarray
+    vectors: np.ndarray              # [c]: eigenvectors of character c's block
+    # [i]: c |H| + j, the i-th smallest relative value being eigenvalue j of
+    # character c's block (a stable sort)
     order: np.ndarray
 
     def relative_vectors(self, count: int | None = None) -> np.ndarray:
-        """The relative eigenvectors on g of the first ``count`` (default:
-        all) relative values, as columns in that order; RuntimeError unless
-        their fiber sums vanish."""
+        """The complex relative eigenvectors on g of the first ``count``
+        (default: all) relative values, as columns in that order: the column
+        of character c and block eigenvector w is w(b) u_c(s) at the vertex
+        over b on sheet s."""
         picked = self.order[:count]
-        n_base = self.vertex.shape[0]
-        out = np.zeros((self.vertex.size, len(picked)))
-        start = 0
-        for vecs, basis in self.solved:
-            nb, _, dim = basis.shape
-            size = n_base * dim
-            cols = np.flatnonzero((picked >= start) & (picked < start + nb * size))
-            b, e = np.divmod(picked[cols] - start, size)
-            # values[c, h, s]: sum over t of vecs[b, h * dim + t, e] * basis[b, s, t]
-            values = np.einsum("cht,cst->chs",
-                               vecs[b, :, e].reshape(len(cols), n_base, dim),
-                               basis[b])
-            if np.abs(values.sum(axis=2)).max(initial=0.0) > 1e-8:
-                raise RuntimeError("relative eigenvectors have nonzero fiber sums")
-            out[np.ix_(self.vertex.ravel(), cols)] = \
-                values.reshape(len(cols), self.vertex.size).T
-            start += nb * size
+        n_base, f = self.vertex.shape
+        c, j = np.divmod(picked, n_base)
+        u = np.exp(2j * np.pi / f * self.exponents[c]) / math.sqrt(f)
+        values = self.vectors[c, :, j][:, :, None] * u[:, None, :]
+        out = np.zeros((self.vertex.size, len(picked)), dtype=complex)
+        out[self.vertex.ravel()] = \
+            values.reshape(len(picked), self.vertex.size).T
         return out
 
 
 def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     """Split the Laplacian spectrum of g into the part lifted from h
     (functions constant on fibers) and the relative part (functions with zero
-    fiber sums).  The lifted part is the spectrum of h; ResourceLimitError
-    above DENSE_LIMIT vertices, since non-commuting monodromy leaves one
-    dense block of |H| (f - 1) rows.
+    fiber sums).  The lifted part is the spectrum of h.  ValueError unless g
+    is connected with commuting monodromy, as every homology cover is;
+    ResourceLimitError above DENSE_LIMIT vertices.
 
-    No |G|-square matrix is formed.  Lifting a BFS spanning forest of h
-    labels each vertex of g by (base vertex, sheet), and each arc e of h
-    then moves the f sheets by a permutation P_e, so that
-    L_g = k - sum_e E_bb' (x) P_e.  The permutations that commute with all
-    the others span an algebra whose generic symmetric element T commutes
-    with every P_e, so each eigenspace V of T on 1-perp gives an invariant
-    block R^|H| (x) V of the relative part, solved alone.  Abelian
-    monodromy (every homology cover) gives blocks of dimension 1 or 2;
-    non-commuting monodromy one block of dimension f - 1.  The relative
-    eigenvectors on g are built on request, by relative_vectors().
+    No |G|-square matrix is formed.  Lifting a BFS spanning tree of h labels
+    each vertex of g by (base vertex, sheet), and each arc e of h then moves
+    the f sheets by a permutation P_e, so that L_g = k - sum_e E_bb' (x) P_e.
+    Each nontrivial character c of the monodromy has a vector u_c with
+    P_e u_c = chi_c(e) u_c, so C^|H| (x) u_c carries one |H|-row block
+    k - sum_e chi_c(e) E_bb'; one batched eigh solves the f - 1 blocks.
 
-    Certificates: the sheet basis and the block eigenvectors are
-    orthonormal, and sqrt(|G|) times the largest residual bound over the
-    lifted and relative eigenpairs, which bounds (Weyl) how far each
-    eigenvalue of L_g lies from the returned one of the same rank, is at
-    most 1e-9 * k.  A lifted eigenvector of g has the residual of its base
-    eigenvector.  For block j with sheet basis B_j and operator Op_j, the
-    dim x dim block M of each arc i of h is read back from Op_j, and
-    D = B_j[P_i] - B_j M is formed with P_i taken from g's own arcs; with
-    diagonal blocks k I and zeros off the arcs, the relative pair
-    (lambda, (I (x) B_j) u) has residual on g at most
-    ||Op_j u - lambda u|| + k max_i ||D||_F (Schur's test over the k arcs
-    of each block row and column)."""
+    Certificates: an integer read-back of u_c[P_e] = chi_c(e) u_c on every
+    arc e, with P_e from g's own arcs, for f - 1 distinct nontrivial
+    characters makes the u_c an exact orthonormal basis of 1-perp.  The
+    block eigenvectors are orthonormal, and sqrt(|G|) times the largest
+    residual over the lifted and relative eigenpairs (on g, that of the base
+    or block eigenvector, up to the rounding of the roots of unity), which
+    bounds (Weyl) how far each eigenvalue of L_g lies from the returned one
+    of the same rank, is at most 1e-9 * k."""
     if g.n > DENSE_LIMIT:
         raise ResourceLimitError(
             f"lift decomposition limited to {DENSE_LIMIT} vertices, got {g.n}")
@@ -306,6 +287,8 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
         raise ValueError("base and total graph must share the regularity")
     # nbr[u, j] is the neighbour of u over the j-th neighbour of its base
     nbr = covering_neighbours(g, h, fiber_map).reshape(g.n, h.k)
+    if not g.is_connected():
+        raise ValueError("lift decomposition needs a connected cover")
     vertex, perms, arc_perm = _sheets(h, nbr, blocks)
     f = blocks.shape[1]
     sheet = np.empty(g.n, dtype=np.int64)
@@ -318,44 +301,29 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     worst = np.linalg.norm(lap_h @ h_vecs - h_vecs * h_vals, axis=0).max(
         initial=0.0)
 
+    labels, exponents = _characters(perms, f)
+    # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f)
+    volt = labels[:, arc_perm]
+    readback = exponents[:, moves] - exponents[:, None] - volt[:, :, None]
+    if len(np.unique(volt, axis=0)) != f - 1 or len(volt) != f - 1 \
+            or not volt.any(axis=1).all() or (readback % f).any():
+        raise RuntimeError("lifted and relative parts do not recombine: the "
+                           "characters do not read back against g's arcs")
     src, dst = h.arcs()
     diag = np.arange(h.n)
-    off_arcs = np.ones((h.n, h.n), dtype=bool)
-    off_arcs[src, dst] = off_arcs[diag, diag] = False
-    solved = []                  # (values, vectors, basis) per block dimension
-    for basis in _sheet_blocks(perms, f):
-        nb, _, dim = basis.shape
-        # basis^T P basis for each distinct arc permutation, (P x)[s] = x[P[s]]
-        moved = np.einsum("bsd,bpse->bpde", basis, basis[:, perms])
-        op = np.zeros((nb, h.n, dim, h.n, dim))
-        op[:, src, :, dst, :] = -moved[:, arc_perm].transpose(1, 0, 2, 3)
-        op[:, diag, :, diag, :] += k * np.eye(dim)
-        op = op.reshape(nb, h.n * dim, h.n * dim)
-        vals, vecs = np.linalg.eigh(op)
-        gram = vecs.transpose(0, 2, 1) @ vecs
-        if np.abs(gram - np.eye(h.n * dim)).max(initial=0.0) > 1e-9:
-            raise RuntimeError("block eigenvectors are not orthonormal")
-        # [block, b, b']: the dim x dim tile of Op_j from b to b'
-        tiles = op.reshape(nb, h.n, dim, h.n, dim).transpose(0, 1, 3, 2, 4)
-        if (tiles[:, diag, diag] != k * np.eye(dim)).any() \
-                or tiles[:, off_arcs].any():
-            raise RuntimeError("block operators have entries off the arcs "
-                               "of h or off k on their diagonal")
-        # D = B[P_i] - B M for every arc i, the tile of arc i being -M
-        leak = basis[:, moves] + basis[:, None] @ tiles[:, src, dst]
-        residual = np.linalg.norm(op @ vecs - vecs * vals[:, None], axis=1)
-        bound = residual.max(axis=1) + k * np.linalg.norm(
-            leak, axis=(2, 3)).max(axis=1, initial=0.0)
-        worst = max(worst, bound.max(initial=0.0))
-        solved.append((vals, vecs, basis))
-
-    rel_vals = np.concatenate([s[0].ravel() for s in solved] + [np.zeros(0)])
-    if len(rel_vals) != g.n - h.n:
-        raise RuntimeError(f"blocks carry {len(rel_vals)} relative "
-                           f"eigenvalues, expected {g.n - h.n}")
+    op = np.zeros((f - 1, h.n, h.n), dtype=complex)
+    op[:, src, dst] = -np.exp(2j * np.pi / f * volt)
+    op[:, diag, diag] = k
+    vals, vecs = np.linalg.eigh(op)
+    gram = vecs.conj().transpose(0, 2, 1) @ vecs
+    if np.abs(gram - np.eye(h.n)).max(initial=0.0) > 1e-9:
+        raise RuntimeError("block eigenvectors are not orthonormal")
+    residual = np.linalg.norm(op @ vecs - vecs * vals[:, None], axis=1)
+    worst = max(worst, residual.max(initial=0.0))
     if math.sqrt(g.n) * worst > 1e-9 * max(1, k):
         raise RuntimeError(f"lifted and relative parts do not recombine: "
                            f"Weyl bound {math.sqrt(g.n) * worst:.3g}")
+    rel_vals = vals.ravel()
     order = np.argsort(rel_vals, kind="stable")
     rel_vals = rel_vals[order]
 
@@ -365,7 +333,7 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
         epsilon=float(rel_vals[0]) if len(rel_vals) else math.inf,
-        vertex=vertex, solved=[s[1:] for s in solved], order=order)
+        vertex=vertex, exponents=exponents, vectors=vecs, order=order)
 
 
 def _sheets(h: Graph, nbr: np.ndarray,
@@ -374,19 +342,15 @@ def _sheets(h: Graph, nbr: np.ndarray,
     sheet s, and arc i of h, in h.arcs() order, carries sheet s to sheet
     perms[arc_perm[i], s]; perms holds each distinct permutation once.
     nbr[u, j] is the neighbour of u over the j-th neighbour of its base
-    vertex, as covering_neighbours gives it.
+    vertex, as covering_neighbours gives it, and h is connected.
+    ValueError unless the permutations commute.
 
-    The sheets over the root of each component of h are its row of blocks,
-    and each arc of a BFS spanning forest of h carries them unchanged to the
-    child."""
-    from scipy.sparse.csgraph import connected_components
-
+    The sheets over vertex 0 are its row of blocks, and each arc of a BFS
+    spanning tree of h carries them unchanged to the child."""
     f = blocks.shape[1]
-    labels = connected_components(h.sparse_adjacency(), directed=False)[1]
-    roots = np.unique(labels, return_index=True)[1]
-    _, parent, via, depth = bfs_tree(h.indptr, h.indices, roots)
+    _, parent, via, depth = bfs_tree(h.indptr, h.indices, 0)
     vertex = blocks.copy()
-    for d in range(1, int(depth.max(initial=0)) + 1):
+    for d in range(1, int(depth.max()) + 1):
         level = np.flatnonzero(depth == d)
         vertex[level] = nbr[vertex[parent[level]], via[level, None]]
     sheet = np.empty(len(nbr), dtype=np.int64)
@@ -398,52 +362,43 @@ def _sheets(h: Graph, nbr: np.ndarray,
     if not np.array_equal(vertex[h.indices[:, None], perms[arc_perm]], heads):
         raise RuntimeError("sheet labels and arc permutations do not "
                            "rebuild g")
+    for p in perms:
+        if not np.array_equal(perms[:, p], p[perms]):
+            raise ValueError("the cover's monodromy does not commute")
     return vertex, perms, arc_perm
 
 
-def _sheet_blocks(perms: np.ndarray, f: int) -> list[np.ndarray]:
-    """An orthonormal basis of the complement of the constant vector in R^f,
-    cut into subspaces invariant under every permutation in perms, and
-    returned as one (blocks, f, dim) array per block dimension.
+def _characters(perms: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, exponents) of the nontrivial characters of the abelian group
+    that perms generate on the f sheets, uncertified: with
+    omega = exp(2 pi i / f), u_c(s) = omega^exponents[c, s] / sqrt(f) has
+    u_c[perms[j]] = omega^labels[c, j] u_c.
 
-    The cuts are the eigenspaces of T = sum c_j (P_j + P_j^T) + K^T K with
-    K = sum d_j (P_j - P_j^T), over the P_j that commute with all of perms,
-    for fixed generic c, d.  On abelian monodromy T separates every real
-    irreducible block: the symmetric part alone gives a character and its
-    conjugate the same value, but also characters that differ by signs of
-    their imaginary parts, which K^T K tells apart.  T's spectrum is cut only
-    at gaps above BLOCK_GAP of its scale: merging two blocks costs time, a
-    cut inside a cluster would leak between blocks."""
+    The eigenvectors of T = sum_j c_j (P_j + P_j^T) + i d_j (P_j - P_j^T),
+    for fixed generic c, d, are joint eigenvectors up to rounding; their
+    Rayleigh quotients u* P_j u, rounded to f-th roots of unity, stay exact
+    where two values of T nearly coincide and their eigenvectors mix.  The
+    exponents follow the labels along a BFS tree of the sheets."""
     from scipy.linalg import eigh
 
-    if f == 1:
-        return []
-    # [i, j, s] is perms[i] after perms[j] at s
-    composed = perms[np.arange(len(perms))[:, None, None], perms[None]]
-    central = perms[(composed == composed.transpose(1, 0, 2)).all(axis=(1, 2))]
-    mats = np.zeros((len(central), f, f))
-    mats[np.arange(len(central))[:, None], np.arange(f), central] = 1.0
-    c, d = np.random.default_rng(0).random((2, len(central)))
-    skew = np.tensordot(d, mats - mats.transpose(0, 2, 1), 1)
-    t = np.tensordot(c, mats + mats.transpose(0, 2, 1), 1) + skew.T @ skew
-    # Helmert basis of 1-perp: column i - 1 is (1, ..., 1, -i, 0, ...) / norm
-    i = np.arange(1, f)
-    helmert = np.triu(np.ones((f, f - 1)))
-    helmert[i, i - 1] = -i
-    helmert /= np.sqrt(i * (i + 1))
-    t_vals, t_vecs = eigh(helmert.T @ t @ helmert)
-    basis = helmert @ t_vecs
-    full = np.column_stack([np.full(f, 1 / math.sqrt(f)), basis])
-    if np.abs(full.T @ full - np.eye(f)).max() > 1e-9:
-        raise RuntimeError("sheet basis is not orthonormal")
-    scale = np.abs(t_vals).max()
-    blocks = np.split(np.arange(f - 1),
-                      np.flatnonzero(np.diff(t_vals) > BLOCK_GAP * scale) + 1)
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for b in blocks:
-        by_dim.setdefault(len(b), []).append(b)
-    return [basis[:, np.array(bs)].transpose(1, 0, 2)
-            for _, bs in sorted(by_dim.items())]
+    c, d = np.random.default_rng(0).random((2, len(perms)))
+    # T = M + M^H with M = sum_j (c_j + i d_j) P_j, (P x)[s] = x[P[s]]
+    t = np.zeros((f, f), dtype=complex)
+    np.add.at(t, (np.tile(np.arange(f), len(perms)), perms.ravel()),
+              np.repeat(c + 1j * d, f))
+    _, u = eigh(t + t.conj().T)
+    quotients = np.array([np.einsum("sc,sc->c", u.conj(), u[p])
+                          for p in perms]).T
+    labels = np.rint(np.angle(quotients) * f / (2 * np.pi)) % f
+    labels = labels[labels.any(axis=1)].astype(np.int64)
+    # sheet perms[j, s] is row s, column j of a generator table
+    _, parent, via, depth = bfs_tree(
+        np.arange(0, perms.size + 1, len(perms)), perms.T.ravel(), 0)
+    exponents = np.zeros((len(labels), f), dtype=np.int64)
+    for level in range(1, int(depth.max()) + 1):
+        at = np.flatnonzero(depth == level)
+        exponents[:, at] = (exponents[:, parent[at]] + labels[:, via[at]]) % f
+    return labels, exponents
 
 
 # --- non-backtracking walk traces -------------------------------------------

@@ -83,6 +83,17 @@ def test_poincare_sum_identity_coordinates_c4():
     assert abs(poincare_sum(phi, mu) - 1.0) < 1e-12
 
 
+def test_poincare_sum_of_a_complex_map():
+    # x -> 0.3 omega^x on C8 over C4, omega = exp(2 pi i / 8): phi(x + 4) is
+    # -phi(x), so each ordered pair in a fiber contributes |0.6|^2 = 0.36,
+    # where the real parts alone would give 0.18
+    g = cycle(8)
+    mu = fibers([v % 4 for v in range(8)], 4)
+    vectors = 0.3 * np.exp(2j * np.pi * np.arange(8) / 8).reshape(-1, 1)
+    phi = LipschitzMap(graph=g, vectors=vectors, name="complex")
+    assert abs(poincare_sum(phi, mu) - 0.36) < 1e-12
+
+
 def test_poincare_sum_rejects_stretched_map():
     g = cycle(4)
     mu = fibers([0, 1, 0, 1], 2)

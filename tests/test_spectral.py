@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -319,7 +320,8 @@ def assert_matches_brute(g, h, fiber_map):
     assert vecs.shape == (g.n, g.n - h.n)
     for count in (0, 1, 2):
         assert np.array_equal(deco.relative_vectors(count), vecs[:, :count])
-    assert np.abs(vecs.T @ vecs - np.eye(g.n - h.n)).max(initial=0) <= 1e-9
+    gram = vecs.conj().T @ vecs
+    assert np.abs(gram - np.eye(g.n - h.n)).max(initial=0) <= 1e-9
     proj = np.asarray(fiber_map)
     for b in range(h.n):
         assert np.abs(vecs[proj == b].sum(axis=0)).max(initial=0) <= 1e-9
@@ -347,23 +349,30 @@ def test_lift_matches_brute_on_large_double_covers(corpus_cover, name):
 
 
 def test_lift_matches_brute_on_trivial_disconnected_cover():
-    # two shuffled copies of a base that is itself disconnected: C3 + C4
+    # two shuffled copies of a base that is itself disconnected: C3 + C4.
+    # The brute split still holds, but a disconnected cover has relative
+    # eigenvalue 0, and the lift takes connected covers only
     h = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0),
                              (3, 4), (4, 5), (5, 6), (6, 3)])
     g, fiber_map = voltage_cover(h, 2, {}, seed=3)
     assert not g.is_connected()
-    assert_matches_brute(g, h, fiber_map)
+    assert lift_decomposition_brute(g, h, fiber_map).epsilon == \
+        pytest.approx(0, abs=1e-9)
+    with pytest.raises(ValueError, match="connected"):
+        lift_decomposition(g, h, fiber_map)
 
 
 def test_lift_matches_brute_on_non_commuting_voltages():
     # S_3 voltages on K4's non-tree edges: a 3-cycle and a transposition
-    # generate S_3, so the monodromy does not commute and 1-perp of the sheets
-    # is one block of dimension 2
+    # generate S_3, so the monodromy does not commute and has no basis of
+    # characters; the lift refuses it
     g, fiber_map = voltage_cover(complete(4), 3, {(1, 2): (1, 2, 0),
                                                   (1, 3): (1, 0, 2),
                                                   (2, 3): (0, 2, 1)}, seed=1)
     assert g.is_connected()
-    assert_matches_brute(g, complete(4), fiber_map)
+    lift_decomposition_brute(g, complete(4), fiber_map)
+    with pytest.raises(ValueError, match="does not commute"):
+        lift_decomposition(g, complete(4), fiber_map)
 
 
 SMALL_REGULAR = [cycle(5), cycle(6), complete(4), complete(5),
@@ -372,13 +381,24 @@ SMALL_REGULAR = [cycle(5), cycle(6), complete(4), complete(5),
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(data=st.data(), base=st.sampled_from(range(len(SMALL_REGULAR))),
-       f=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
-def test_lift_matches_brute_on_random_voltage_covers(data, base, f, seed):
+       group=st.sampled_from([(1, False), (2, False), (3, False), (4, False),
+                              (4, True)]),
+       seed=st.integers(0, 2 ** 16))
+def test_lift_matches_brute_on_random_voltage_covers(data, base, group, seed):
+    # translations of Z_f, or of Z_2 x Z_2 (s -> s xor a) at f = 4: abelian
+    # monodromy, whose cover is connected when the voltages generate
     h = SMALL_REGULAR[base]
-    voltages = {e: tuple(data.draw(st.permutations(range(f))))
-                for e in edges(h)}
+    f, klein = group
+    voltages = {}
+    for e in edges(h):
+        a = data.draw(st.integers(0, f - 1))
+        voltages[e] = [s ^ a if klein else (s + a) % f for s in range(f)]
     g, fiber_map = voltage_cover(h, f, voltages, seed=seed)
-    assert_matches_brute(g, h, fiber_map)
+    if g.is_connected():
+        assert_matches_brute(g, h, fiber_map)
+    else:
+        with pytest.raises(ValueError, match="connected"):
+            lift_decomposition(g, h, fiber_map)
 
 
 def test_lift_rejects_a_fiber_map_that_is_not_a_covering():
@@ -407,25 +427,66 @@ def test_lift_rejects_a_cover_above_the_dense_limit(monkeypatch):
 @pytest.mark.parametrize("name,m", [("C6", 3), ("K4", 3), ("K33", 3)])
 def test_lift_certificate_rejects_split_blocks(corpus_cover, monkeypatch,
                                                name, m):
-    # characters of Z_3 come in conjugate pairs: real blocks of dimension 2,
-    # and neither line of such a plane is invariant under the monodromy
+    # one character label moved to its neighbouring root of unity: the
+    # character's vector is no longer an eigenvector of that arc's
+    # permutation, and only the read-back against g's arcs tells
     cover = corpus_cover(name, m)
-    real_blocks = spectral._sheet_blocks
+    real_characters = spectral._characters
 
-    def split(perms, f):
-        out = []
-        for basis in real_blocks(perms, f):
-            dims.append(basis.shape[2])
-            if basis.shape[2] == 2:
-                basis = np.concatenate([basis[:, :, :1], basis[:, :, 1:]])
-            out.append(basis)
-        return out
+    def corrupted(perms, f):
+        labels, exponents = real_characters(perms, f)
+        labels = labels.copy()
+        labels[0, -1] = (labels[0, -1] + 1) % f
+        return labels, exponents
 
-    dims = []
-    monkeypatch.setattr(spectral, "_sheet_blocks", split)
+    monkeypatch.setattr(spectral, "_characters", corrupted)
     with pytest.raises(RuntimeError, match="do not recombine"):
         lift_decomposition(cover.graph, cover.base, cover.projection)
-    assert 2 in dims
+
+
+@pytest.mark.parametrize("name,m", [("C6", 2), ("C6", 3), ("K4", 2),
+                                    ("K4", 3), ("K33", 2), ("K33", 3),
+                                    ("petersen", 2), ("psl23", 2)])
+def test_lift_matches_twisted_operators_of_the_spanning_tree(corpus_cover,
+                                                             name, m):
+    # every corpus cover up to DENSE_LIMIT.  L^2 of the Z_m^r homology cover
+    # splits over the characters c != 0 of Z_m^r: the relative spectrum is
+    # the union of spec(k - A_c), where A_c carries 1 on tree edges and
+    # omega^c_j (omega^-c_j reversed) on non-tree edge j, built from the
+    # cover's spanning tree alone
+    from scipy.linalg import eigvalsh
+
+    cover = corpus_cover(name, m)
+    assert cover.graph.n <= spectral.DENSE_LIMIT
+    base, tree = cover.base, cover.tree
+    omega = np.exp(2j * np.pi / m)
+    expected = []
+    for c in itertools.product(range(m), repeat=cover.rank):
+        if not any(c):
+            continue
+        a = np.zeros((base.n, base.n), dtype=complex)
+        for u, v in tree.tree_edges.tolist():
+            a[u, v] = a[v, u] = 1
+        for (u, v), cj in zip(tree.non_tree_edges.tolist(), c):
+            a[u, v], a[v, u] = omega ** cj, omega ** -cj
+        expected.extend(eigvalsh(base.k * np.eye(base.n) - a))
+    expected = np.sort(expected)
+    deco = lift_decomposition(cover.graph, base, cover.projection)
+    assert len(deco.relative.values) == len(expected) == cover.graph.n - base.n
+    assert np.abs(np.subtract(deco.relative.values, expected)).max() <= 1e-9
+    assert abs(deco.epsilon - expected[0]) <= 1e-9
+
+
+def test_lift_on_nearly_degenerate_characters():
+    # C4000 over C4, f = 1000: values of the generic T of the characters of
+    # Z_1000 nearly coincide, and their eigenvectors mix; the relative
+    # values are 2 - 2 cos(2 pi j / 4000) for j not divisible by 1000
+    g, h = cycle(4000), cycle(4)
+    deco = lift_decomposition(g, h, np.arange(4000) % 4)
+    j = np.arange(4000)
+    expected = np.sort(2 - 2 * np.cos(2 * np.pi * j[j % 1000 != 0] / 4000))
+    assert np.abs(np.subtract(deco.relative.values, expected)).max() <= 1e-9
+    assert abs(deco.epsilon - expected[0]) <= 1e-9
 
 
 @pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 2), ("K4", 3),

@@ -4,6 +4,7 @@ covers built from a spanning tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
@@ -69,8 +70,19 @@ class Graph:
         return int(degs[0])
 
     def bfs_distances(self, source: int) -> np.ndarray:
-        """int64 BFS distance of every vertex from source, -1 if unreached."""
+        """int64 BFS distance of every vertex from source, -1 if unreached.
+        The distances from vertex 0, which the connectivity and
+        bipartiteness checks read, are found once per graph and returned
+        read-only."""
+        if source == 0:
+            return self._distances_from_0
         return bfs_tree(self.indptr, self.indices, source)[3]
+
+    @functools.cached_property
+    def _distances_from_0(self) -> np.ndarray:
+        depth = bfs_tree(self.indptr, self.indices, 0)[3]
+        depth.flags.writeable = False
+        return depth
 
     def is_connected(self) -> bool:
         return self.n == 0 or bool((self.bfs_distances(0) >= 0).all())

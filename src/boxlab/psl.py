@@ -6,8 +6,9 @@ mod q^n (scan order a, b, c, d) to 1; at least one entry is a unit because
 the determinant is.  This identifies M with -M, so canonical tuples carry
 PSL elements whenever the determinant is a square.
 
-``canon_rows``/``mul_rows`` are the same arithmetic on (N, 4) int64 arrays,
-one matrix per row; ``canon``/``mat_mul`` are their oracle.
+``canon_rows`` is ``canon`` on (N, 4) int64 arrays, one matrix per row, and
+``product_keys`` is ``mat_mul`` of every row by every generator, kept as
+one int64 key per product; ``canon``/``mat_mul`` are their oracle.
 ``subgroup_closure`` and ``psl_elements`` return ``Elements``: the tuples as
 a list that also carries their row keys, from which ``right_table`` fills
 Cayley table columns.
@@ -91,17 +92,42 @@ def _canon_reduced(rows: np.ndarray, modulus: int, q: int) -> np.ndarray:
     return rows
 
 
-def mul_rows(x, y, modulus: int, q: int) -> np.ndarray:
-    """``mat_mul`` on rows.  x and y are int64 arrays whose last axis holds
-    (a, b, c, d) and whose leading axes broadcast against each other.  Both
-    are reduced mod modulus first, so every a*e + b*g < 2*modulus**2 fits."""
+def product_keys(rows: np.ndarray, gens: np.ndarray, modulus: int,
+                 q: int) -> np.ndarray:
+    """int64 keys[i, j]: the row key of ``mat_mul(rows[i], gens[j])``, for
+    (N, 4) and (S, 4) int64 arrays reduced mod modulus; ValueError if a
+    product has no unit entry.
+
+    Each entry of a product is formed unreduced, below 2 * modulus**2, and
+    is reduced once, after scaling by the inverse of the first unit entry
+    (scan order a, b, c, d); x % q of an unreduced entry is that of its
+    residue, since q divides modulus."""
     _check_key_bound(modulus)
-    x = np.asarray(x, dtype=np.int64) % modulus
-    y = np.asarray(y, dtype=np.int64) % modulus
-    prod = x.reshape(x.shape[:-1] + (2, 2)) @ y.reshape(y.shape[:-1] + (2, 2))
-    shape = prod.shape[:-2] + (4,)
+    n, s = len(rows), len(gens)
+    # prod[r, c, j, i] is entry (r, c) of rows[i] @ gens[j], from one matmul
+    # of the generators' columns, stacked, against each row's two rows, with
+    # no temporary; a, b, c, d are then (S, N) blocks
+    columns = gens.reshape(s, 2, 2).transpose(2, 0, 1).reshape(2 * s, 2)
+    prod = (columns @ rows.T.reshape(2, 2, n)).reshape(2, 2, s, n)
+    (a, b), (c, d) = prod
+    # np.where in place, in reverse scan order: the last unit entry written
+    # is the first one of a, b, c, d
+    pivot = d.copy()
+    for y in (c, b, a):
+        np.copyto(pivot, y, where=y % q != 0)
+    pivot %= modulus
+    inv = _unit_inverses(modulus, q)[pivot]
+    if not inv.all():       # inv is 0 exactly at a non-unit pivot
+        raise ValueError("matrix has no unit entry; determinant not a unit")
+    prod *= inv
     prod %= modulus
-    return _canon_reduced(prod.reshape(-1, 4), modulus, q).reshape(shape)
+    keys = np.multiply(a, modulus, out=pivot)       # pivot is spent
+    keys += b
+    keys *= modulus
+    keys += c
+    keys *= modulus
+    keys += d
+    return keys.T
 
 
 def _row_keys(rows: np.ndarray, modulus: int) -> np.ndarray:
@@ -152,7 +178,7 @@ class Elements(list):
     (``keys[i]`` is the key of ``self[i]``) for the batch layer.
 
     ``right_table`` fills Cayley table columns from the keys with
-    ``mul_rows`` and a sorted-key search, without a tuple product.  Slices,
+    ``product_keys`` and a sorted-key search, without a tuple product.  Slices,
     copies and ``list(...)`` are plain lists and carry no keys.
     """
 
@@ -173,28 +199,28 @@ class Elements(list):
         return int(hits[0])
 
     def right_table(self, gens) -> np.ndarray:
-        """int64 table[i, j] = index of self[i] * gens[j], one generator
-        column at a time; ValueError if an element repeats (equal adjacent
-        keys, once sorted) or a product is not in the sequence.
+        """int64 table[i, j] = index of self[i] * gens[j], every column from
+        one ``product_keys`` call; ValueError if an element repeats (equal
+        adjacent keys, once sorted) or a product is not in the sequence.
 
-        Right multiplication is injective, so the products' keys, sorted,
+        Right multiplication is injective, so each column's keys, sorted,
         equal the elements' keys, sorted, exactly when the sequence is
         closed; sorting both matches each product to its element."""
-        shape = (self.modulus,) * 4
-        rows = np.stack(np.unravel_index(self.keys, shape), axis=1)
+        rows = np.stack(np.unravel_index(self.keys, (self.modulus,) * 4),
+                        axis=1)
         order = np.argsort(self.keys)
         ordered = self.keys[order]
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate elements")
-        gens = np.asarray(gens, dtype=np.int64).reshape(-1, 4)
-        table = np.empty((len(rows), len(gens)), dtype=np.int64)
-        for j, g in enumerate(gens):
-            keys = _row_keys(mul_rows(rows, g, self.modulus, self.q),
-                             self.modulus)
-            by_key = np.argsort(keys)
-            if not np.array_equal(keys[by_key], ordered):
-                raise ValueError("elements not closed under the generators")
-            table[by_key, j] = order
+        gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
+                          self.modulus, self.q)
+        keys = product_keys(rows, gens, self.modulus, self.q)
+        by_key = np.argsort(keys, axis=0)
+        if not (np.take_along_axis(keys, by_key, axis=0)
+                == ordered[:, None]).all():
+            raise ValueError("elements not closed under the generators")
+        table = np.empty_like(keys)
+        table[by_key, np.arange(len(gens))] = order[:, None]
         return table
 
 
@@ -229,10 +255,9 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int) -> Elements:
     """Breadth-first closure under right multiplication; insertion-ordered.
 
     Each BFS level is the frontier times the generators in row-major order,
-    multiplied as int64 rows and kept as row keys; its new elements are kept
-    in order of first occurrence, which is the order of an
-    element-at-a-time loop.  ResourceLimitError above KEY_MODULUS_LIMIT or
-    past CAP elements.
+    as ``product_keys`` gives them; its new elements are kept in order of
+    first occurrence, which is the order of an element-at-a-time loop.
+    ResourceLimitError above KEY_MODULUS_LIMIT or past CAP elements.
     """
     frontier = canon_rows([IDENT], modulus, q)
     gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
@@ -242,9 +267,17 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int) -> Elements:
     seen = levels[0]                                # sorted
     count = 1
     while len(frontier):
-        keys = _row_keys(mul_rows(frontier[:, None], gens, modulus, q)
-                         .reshape(-1, 4), modulus)
-        uniq, first = np.unique(keys, return_index=True)
+        keys = product_keys(frontier, gens, modulus, q).ravel()
+        # the distinct keys and, by a min over each run of equal keys in
+        # the sort, the position of each one's first occurrence
+        order = np.argsort(keys)
+        ordered = keys[order]
+        run_start = np.empty(len(keys), dtype=bool)
+        run_start[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+        starts = run_start.nonzero()[0]
+        uniq = ordered[starts]
+        first = np.minimum.reduceat(order, starts)
         pos = np.searchsorted(seen, uniq)
         fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq
         seen = np.insert(seen, pos[fresh], uniq[fresh])

@@ -114,6 +114,8 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
                          "use spectrum()")
     a = graph.sparse_adjacency()
     scale = max(1, k)
+    # c * v terms are formed here, so a step allocates only A v
+    scratch = np.empty(n)
 
     def dot(u, v):
         return float(np.einsum("i,i", u, v))
@@ -132,24 +134,27 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
             yield v
             w = a @ v
             w -= w.mean()
-            w -= b * prev
+            # into scratch, never into prev: at the first step prev is the
+            # caller's v, from which the second pass starts again
+            w -= np.multiply(b, prev, out=scratch)
             if j == len(alphas):
                 alphas.append(dot(w, v))
-                w -= alphas[j] * v
+                w -= np.multiply(alphas[j], v, out=scratch)
                 betas.append(math.sqrt(dot(w, w)))
                 if betas[j] <= 1e-13 * scale:
                     return
             else:
-                w -= alphas[j] * v
+                w -= np.multiply(alphas[j], v, out=scratch)
             w /= betas[j]
             prev, v, b = v, w, betas[j]
 
     def ritz(alphas, betas):
         """Eigenvectors s of T for its smallest and largest values, as two
         columns, and the residual estimates |beta_m s_m| of their Ritz
-        pairs."""
-        _, s = eigh_tridiagonal(alphas, betas[:-1])
-        s = s[:, [0, -1]]
+        pairs.  Only those two eigenpairs of T are solved for."""
+        s = np.hstack([eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                        select_range=(i, i))[1]
+                       for i in (0, len(alphas) - 1)])
         return s, np.abs(betas[-1] * s[-1])
 
     def certified(vec):
@@ -171,7 +176,7 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
         vecs = np.zeros((2, n))
         for row, v in zip(s, lanczos(v0, alphas, betas)):
             for vec, c in zip(vecs, row):
-                vec += c * v
+                vec += np.multiply(c, v, out=scratch)
         smallest, res_s = certified(vecs[0])
         second, res2 = certified(vecs[1])
         if max(res2, res_s) <= POLISHED_RESIDUAL * scale:
@@ -304,9 +309,14 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     labels, exponents = _characters(perms, f)
     # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f)
     volt = labels[:, arc_perm]
-    readback = exponents[:, moves] - exponents[:, None] - volt[:, :, None]
+    # [c, i, s]: exponents[c, moves[i, s]] - exponents[c, s] - volt[c, i],
+    # formed in one array
+    readback = exponents[:, moves]
+    readback -= exponents[:, None]
+    readback -= volt[:, :, None]
+    readback %= f
     if len(np.unique(volt, axis=0)) != f - 1 or len(volt) != f - 1 \
-            or not volt.any(axis=1).all() or (readback % f).any():
+            or not volt.any(axis=1).all() or readback.any():
         raise RuntimeError("lifted and relative parts do not recombine: the "
                            "characters do not read back against g's arcs")
     src, dst = h.arcs()

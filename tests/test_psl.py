@@ -313,6 +313,14 @@ def test_subgroup_closure_matches_brute_order(name):
         subgroup_closure_brute(gens, modulus, q)
 
 
+def test_subgroup_closure_and_table_without_generators():
+    # empty levels and empty generator lists reach the kernel with no rows
+    # or no columns
+    assert psl.subgroup_closure([], 9, 3) == [psl.IDENT]
+    elements = psl.subgroup_closure(list(psl.kernel_generators(3, 2, 1)), 9, 3)
+    assert elements.right_table([]).shape == (27, 0)
+
+
 def test_subgroup_closure_cap(monkeypatch):
     gens, modulus, q = closure_input("lps29")
     monkeypatch.setattr(psl, "CAP", 12180)
@@ -349,6 +357,17 @@ def unreduced(rng, rows, modulus):
     return np.asarray(rows, dtype=np.int64) + modulus * rng.integers(-3, 4, (len(rows), 4))
 
 
+def tuple_key(m, modulus):
+    a, b, c, d = m
+    return ((a * modulus + b) * modulus + c) * modulus + d
+
+
+def grid_rows(x, y, modulus, q):
+    """Every row of x times every row of y, in row-major order, as rows."""
+    keys = psl.product_keys(x, y, modulus, q).ravel()
+    return np.stack(np.unravel_index(keys, (modulus,) * 4), axis=1)
+
+
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(level=st.sampled_from(BATCH_LEVELS), seed=st.integers(0, 2 ** 32 - 1))
 def test_batch_rows_match_tuple_arithmetic(level, seed):
@@ -362,10 +381,9 @@ def test_batch_rows_match_tuple_arithmetic(level, seed):
     rows = [r for r in map(tuple, rows.tolist()) if any(e % q for e in r)]
     assert psl.canon_rows(unreduced(rng, x + rows, modulus), modulus, q).tolist() \
         == [list(psl.canon(m, modulus, q)) for m in x + rows]
-    got = psl.mul_rows(unreduced(rng, x, modulus), unreduced(rng, y, modulus),
-                       modulus, q)
-    assert got.tolist() == [list(psl.mat_mul(a, b, modulus, q))
-                            for a, b in zip(x, y)]
+    got = psl.product_keys(np.array(x), np.array(y), modulus, q)
+    assert got.tolist() == [[tuple_key(psl.mat_mul(a, b, modulus, q), modulus)
+                             for b in y] for a in x]
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -376,12 +394,66 @@ def test_batch_rows_group_axioms(level, seed):
     rng = np.random.default_rng(seed)
     x, y, z = (psl.canon_rows(random_sl(rng, q, modulus, 10), modulus, q)
                for _ in range(3))
-    ident = psl.canon_rows([psl.IDENT] * 10, modulus, q)
-    inv = [psl.mat_inv(m, modulus, q) for m in map(tuple, x.tolist())]
-    mul = lambda a, b: psl.mul_rows(a, b, modulus, q)
+    ident = psl.canon_rows([psl.IDENT], modulus, q)
+    inv = psl.canon_rows([psl.mat_inv(m, modulus, q)
+                          for m in map(tuple, x.tolist())], modulus, q)
+    mul = lambda a, b: grid_rows(a, b, modulus, q)
+    # both sides list the products x[i] y[j] z[l] in (i, j, l) order
     assert (mul(mul(x, y), z) == mul(x, mul(y, z))).all()
     assert (mul(x, ident) == x).all() and (mul(ident, x) == x).all()
-    assert (mul(x, inv) == ident).all() and (mul(inv, x) == ident).all()
+    diagonal = np.arange(10) * 11       # the pairs (i, i) of a 10 x 10 grid
+    assert (mul(x, inv)[diagonal] == ident).all()
+    assert (mul(inv, x)[diagonal] == ident).all()
+
+
+def rows_with_a_unit(rng, q, modulus, count):
+    """count random rows with a unit entry and of any determinant; in every
+    other one a and b are multiples of q, so its products have no unit in
+    the top row and pivot on c or d, or have no unit entry at all."""
+    out = []
+    while len(out) < count:
+        row = rng.integers(0, modulus, 4)
+        row[rng.random(4) < 0.5] *= q
+        if len(out) % 2:
+            row[:2] *= q
+        row %= modulus
+        if (row % q).any():
+            out.append(tuple(row.tolist()))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(level=st.sampled_from(BATCH_LEVELS), seed=st.integers(0, 2 ** 32 - 1))
+def test_product_keys_on_rows_of_any_determinant(level, seed):
+    # SL rows multiply to products with a unit a or b; the c and d pivots
+    # and the "no unit entry" error need determinants that are not units
+    q, n = level
+    modulus = q ** n
+    rng = np.random.default_rng(seed)
+    x = rows_with_a_unit(rng, q, modulus, 12)
+    y = np.array(rows_with_a_unit(rng, q, modulus, 8))
+    for row in x:
+        try:
+            want = [tuple_key(psl.mat_mul(row, g, modulus, q), modulus)
+                    for g in map(tuple, y.tolist())]
+        except ValueError:
+            with pytest.raises(ValueError, match="no unit entry"):
+                psl.product_keys(np.array([row]), y, modulus, q)
+        else:
+            assert psl.product_keys(np.array([row]), y, modulus,
+                                    q).tolist() == [want]
+
+
+def test_product_keys_pivots_on_c_and_d_and_rejects_no_unit():
+    modulus, q = 27, 3
+    x = [(3, 6, 1, 0), (3, 0, 0, 2)]    # pivots c = 1 and d = 2 times I
+    got = psl.product_keys(np.array(x), np.array([psl.IDENT]), modulus, q)
+    assert got.ravel().tolist() == [
+        tuple_key(psl.canon(m, modulus, q), modulus) for m in x]
+    assert psl.canon(x[1], modulus, q) == (15, 0, 0, 1)
+    with pytest.raises(ValueError, match="no unit entry"):
+        psl.product_keys(np.array([(1, 0, 0, 0)]), np.array([(0, 0, 0, 1)]),
+                         modulus, q)
 
 
 def test_canon_rows_rejects_row_without_unit():
@@ -394,7 +466,8 @@ def test_batch_layer_key_bound():
     with pytest.raises(ResourceLimitError):
         psl.canon_rows([psl.IDENT], modulus, modulus)
     with pytest.raises(ResourceLimitError):
-        psl.mul_rows([psl.IDENT], [psl.IDENT], modulus, modulus)
+        psl.product_keys(np.array([psl.IDENT]), np.array([psl.IDENT]),
+                         modulus, modulus)
     with pytest.raises(ResourceLimitError):
         psl.subgroup_closure([psl.IDENT], modulus, modulus)
     assert psl.KEY_MODULUS_LIMIT ** 4 < 2 ** 63 <= modulus ** 4

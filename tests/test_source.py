@@ -121,3 +121,22 @@ def test_every_dataclass_field_is_read():
                        for sub in node.body if isinstance(sub, ast.AnnAssign)
                        and sub.target.id not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_library_imports_no_private_numpy_or_scipy_module():
+    # a private module (any dotted part starting with "_") is not numpy's or
+    # scipy's API and may move or vanish in any release
+    found = []
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("numpy", "scipy")
+                      and any(part.startswith("_")
+                              for part in name.split("."))]
+    assert not found, f"private numpy or scipy imports: {found}"

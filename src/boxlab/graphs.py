@@ -174,17 +174,23 @@ def filled_table(elements: Sequence[Hashable], mul: Callable,
     A right_table column is checked against mul at every SPOT_STRIDE-th row,
     counted from the last: ValueError on a mismatch, so the mul passed is
     never ignored.  Counting from the end keeps a one-row check off a
-    closure's first element, the identity, which no mul can get wrong."""
+    closure's first element, the identity, which no mul can get wrong.  The
+    checked rows and their products are read with one ``elements.take``."""
     right_table = getattr(elements, "right_table", None)
     if right_table is None:
         index, table = generator_table(elements, mul, gens)
         return index[identity], table
     table = right_table(gens)
-    for i in range(len(elements) - 1, -1, -SPOT_STRIDE):
-        for s, j in zip(gens, table[i].tolist()):
-            if mul(elements[i], s) != elements[j]:
+    rows = np.arange(len(elements) - 1, -1, -SPOT_STRIDE)
+    # each checked row, then its products, as tuples from one batch read
+    checked = elements.take(np.column_stack([rows, table[rows]]).ravel())
+    width = len(gens) + 1
+    for k in range(0, len(checked), width):
+        x, *products = checked[k:k + width]
+        for s, y in zip(gens, products):
+            if mul(x, s) != y:
                 raise ValueError(f"mul disagrees with the elements' own "
-                                 f"product at {elements[i]!r} * {s!r}")
+                                 f"product at {x!r} * {s!r}")
     return elements.position(identity), table
 
 
@@ -219,17 +225,25 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
     depth[roots] = 0
     levels = [roots]
     while len(levels[-1]):
-        start = indptr[levels[-1]]
-        sizes = indptr[levels[-1] + 1] - start
-        row = np.repeat(np.arange(len(sizes)), sizes)
-        slot = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        reached = indices[start[row] + slot]
+        level = levels[-1]
+        start = indptr[level]
+        sizes = indptr[level + 1] - start
+        # the level's rows laid end to end: position p is slot
+        # p - offsets[row[p]] of row row[p], at indices[gather[p]]
+        offsets = np.cumsum(sizes)
+        offsets -= sizes
+        row = np.repeat(np.arange(len(level)), sizes)
+        gather = (start - offsets)[row]
+        gather += np.arange(len(gather))
+        reached = indices[gather]
         fresh = np.flatnonzero(parent[reached] < 0)
-        np.minimum.at(first_at, reached[fresh], fresh)
-        first = fresh[first_at[reached[fresh]] == fresh]
-        found = reached[first]
-        parent[found] = levels[-1][row[first]]
-        via[found] = slot[first]
+        candidates = reached[fresh]
+        np.minimum.at(first_at, candidates, fresh)
+        is_first = first_at[candidates] == fresh
+        first, found = fresh[is_first], candidates[is_first]
+        row = row[first]
+        parent[found] = level[row]
+        via[found] = first - offsets[row]
         depth[found] = len(levels)
         levels.append(found)
     return np.concatenate(levels), parent, via, depth
@@ -242,7 +256,7 @@ class CayleyGraph:
     ``bfs_tree``'s from the identity, order[0], so every element is a word."""
 
     graph: Graph
-    elements: list
+    elements: Sequence
     table: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
@@ -305,13 +319,17 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     # an involution's column is its own inverse permutation
     table[:, [inverse_of[j] for j in filled]] = inverse_permutations(columns)
     indptr = np.arange(len(elements) + 1) * len(gens)
-    order, parent, via, _ = bfs_tree(indptr, table.ravel(), ident)
+    order, parent, via, depth = bfs_tree(indptr, table.ravel(), ident)
     if len(order) < len(elements):
         raise ValueError(
             f"generators do not generate: reached component of size "
             f"{len(order)} of {len(elements)}")
     graph = Graph(n=len(elements), indptr=indptr,
                   indices=np.sort(table, axis=1).ravel(), vertex_transitive=True)
+    if ident == 0:
+        # BFS depths do not depend on the order of a row's neighbours
+        depth.flags.writeable = False
+        graph._distances_from_0 = depth
     return CayleyGraph(graph=graph, elements=elements, table=table,
                        order=order, parent=parent, via=via)
 

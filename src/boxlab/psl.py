@@ -9,16 +9,18 @@ PSL elements whenever the determinant is a square.
 ``canon_rows`` is ``canon`` on (N, 4) int64 arrays, one matrix per row, and
 ``product_keys`` is ``mat_mul`` of every row by every generator, kept as
 one int64 key per product; ``canon``/``mat_mul`` are their oracle.
-``subgroup_closure`` and ``psl_elements`` return ``Elements``: the tuples as
-a list that also carries their row keys, from which ``right_table`` fills
-Cayley table columns.
+``subgroup_closure`` and ``psl_elements`` return ``Elements``: a read-only
+sequence of the tuples that holds only their int64 row keys, 8 bytes per
+element, makes tuples from the keys when they are read, and fills Cayley
+table columns from the keys with ``right_table``.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -111,16 +113,27 @@ def product_keys(rows: np.ndarray, gens: np.ndarray, modulus: int,
     prod = (columns @ rows.T.reshape(2, 2, n)).reshape(2, 2, s, n)
     (a, b), (c, d) = prod
     # np.where in place, in reverse scan order: the last unit entry written
-    # is the first one of a, b, c, d
+    # is the first one of a, b, c, d.  Every entry is non-negative, so
+    # y - y // k * k is y % k, and numpy's // by a scalar is several times
+    # faster than its %; spare holds y // k * k.
     pivot = d.copy()
+    spare = np.empty_like(pivot)
     for y in (c, b, a):
-        np.copyto(pivot, y, where=y % q != 0)
-    pivot %= modulus
+        np.floor_divide(y, q, out=spare)
+        spare *= q
+        np.copyto(pivot, y, where=spare != y)
+    np.floor_divide(pivot, modulus, out=spare)
+    spare *= modulus
+    pivot -= spare
+    del spare
     inv = _unit_inverses(modulus, q)[pivot]
     if not inv.all():       # inv is 0 exactly at a non-unit pivot
         raise ValueError("matrix has no unit entry; determinant not a unit")
     prod *= inv
-    prod %= modulus
+    for y in (a, b, c, d):
+        np.floor_divide(y, modulus, out=inv)        # inv is spent
+        inv *= modulus
+        y -= inv
     keys = np.multiply(a, modulus, out=pivot)       # pivot is spent
     keys += b
     keys *= modulus
@@ -173,30 +186,68 @@ def psl_order(q: int, n: int) -> int:
     return q ** (3 * n - 2) * (q * q - 1) // 2
 
 
-class Elements(list):
-    """Canonical tuples, as a list, that also carry their int64 row keys
-    (``keys[i]`` is the key of ``self[i]``) for the batch layer.
+class Elements(Sequence):
+    """Canonical tuples, read-only, held only as their int64 row keys:
+    ``keys[i]`` is the key of ``self[i]``, and a tuple is made from its key
+    when it is read.
 
-    ``right_table`` fills Cayley table columns from the keys with
-    ``product_keys`` and a sorted-key search, without a tuple product.  Slices,
-    copies and ``list(...)`` are plain lists and carry no keys.
+    An index gives one tuple; a slice, and ``take``, give a plain list from
+    one unravel of the keys.  ``in``, ``index`` and ``position`` find a
+    tuple by its key.  An ``Elements`` equals a list, or another
+    ``Elements``, with the same tuples in the same order.  ``right_table``
+    fills Cayley table columns from the keys with ``product_keys`` and a
+    sorted-key search, without a tuple product.
     """
 
     def __init__(self, keys: np.ndarray, modulus: int, q: int):
-        entries = np.unravel_index(keys, (modulus,) * 4)
-        super().__init__(zip(*(e.tolist() for e in entries)))
         self.keys = keys
         self.modulus = modulus
         self.q = q
 
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        return self.take([i])[0]
+
+    def take(self, indices) -> list[Mat]:
+        """The tuples at indices (an index array or a slice), as a list."""
+        entries = np.unravel_index(self.keys[indices], (self.modulus,) * 4)
+        return list(zip(*(e.tolist() for e in entries)))
+
+    def __iter__(self):
+        # 4,096 tuples at a time: a pass never holds them all
+        return chain.from_iterable(self.take(slice(start, start + 4096))
+                                   for start in range(0, len(self), 4096))
+
+    def __contains__(self, x) -> bool:
+        try:
+            self.position(x)
+        except ValueError:
+            return False
+        return True
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Elements)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            x == y for x, y in zip(self, other))
+
     def position(self, x) -> int:
         """The index of the canonical tuple x, found by its row key;
         ValueError if x is not in the sequence."""
-        hits = np.flatnonzero(self.keys == _row_keys(np.array([x]),
-                                                     self.modulus)[0])
+        try:
+            hits = np.flatnonzero(
+                self.keys == _row_keys(np.array([x]), self.modulus)[0])
+        except (ValueError, TypeError):     # not four entries below modulus
+            hits = ()
         if not len(hits):
             raise ValueError(f"{x!r} is not in the sequence")
         return int(hits[0])
+
+    index = position
 
     def right_table(self, gens) -> np.ndarray:
         """int64 table[i, j] = index of self[i] * gens[j], every column from
@@ -286,7 +337,7 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int) -> Elements:
         if count > CAP:
             raise ResourceLimitError(f"closure exceeded cap {CAP}")
         levels.append(new)
-        frontier = np.stack(np.unravel_index(new, shape), axis=1)
+        frontier = np.array(np.unravel_index(new, shape)).T
     return Elements(np.concatenate(levels), modulus, q)
 
 

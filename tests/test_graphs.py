@@ -237,12 +237,14 @@ def test_flagged_girth_runs_one_bfs(corpus_cover, monkeypatch):
         roots.append(root)
         return bfs_tree(indptr, indices, root)
 
+    # built first: a cover's own build runs a BFS too
+    covers = {(name, m): corpus_cover(name, m).graph
+              for name in CORPUS for m in (2, 3)}
     monkeypatch.setattr(graphs, "bfs_tree", counting_bfs_tree)
-    for name in CORPUS:
-        for m in (2, 3):
-            roots.clear()
-            girth(corpus_cover(name, m).graph)
-            assert roots == [0], (name, m)
+    for key, graph in covers.items():
+        roots.clear()
+        girth(graph)
+        assert roots == [0], key
 
 
 def test_cover_of_non_transitive_base_is_not_flagged():
@@ -530,27 +532,34 @@ def test_inverse_permutations_rejects_non_permutation():
     assert inverse_permutations(cols[:, :1]).ravel().tolist() == [2, 0, 1]
 
 
-def bfs_tree_queue(table, root):
-    """The retired element-at-a-time queue BFS, kept as an oracle."""
-    rows = table.tolist()
+def bfs_tree_queue(rows, roots):
+    """The retired element-at-a-time queue BFS, kept as an oracle: rows[u]
+    lists u's out-neighbours in slot order, and the roots start the queue."""
     parent = [-1] * len(rows)
     via = [-1] * len(rows)
-    parent[root] = root
-    order = [root]
+    depth = [-1] * len(rows)
+    for root in roots:
+        parent[root] = root
+        depth[root] = 0
+    order = list(roots)
     for u in order:
         for j, v in enumerate(rows[u]):
             if parent[v] < 0:
                 parent[v] = u
                 via[v] = j
+                depth[v] = depth[u] + 1
                 order.append(v)
-    return order, parent, via
+    return order, parent, via, depth
 
 
-def bfs_tree_of_table(table, root):
-    """bfs_tree on the CSR whose rows are the table's rows, as lists."""
-    order, parent, via, _ = bfs_tree(np.arange(len(table) + 1) * table.shape[1],
-                                     table.ravel(), root)
-    return order.tolist(), parent.tolist(), via.tolist()
+def bfs_tree_lists(indptr, indices, root):
+    """bfs_tree's four outputs, as lists."""
+    return tuple(a.tolist() for a in bfs_tree(indptr, indices, root))
+
+
+def table_csr(table):
+    """The CSR whose rows are the table's rows."""
+    return np.arange(len(table) + 1) * table.shape[1], table.ravel()
 
 
 @pytest.mark.parametrize("name", ["C6", "C64", "psl23", "lps29"])
@@ -558,10 +567,49 @@ def test_bfs_tree_matches_queue_bfs(name):
     elements, mul, gens = cayley_input(name)
     table = generator_table(elements, mul, gens)[1]
     for root in (0, len(elements) // 2, len(elements) - 1):
-        assert bfs_tree_of_table(table, root) == bfs_tree_queue(table, root)
+        assert bfs_tree_lists(*table_csr(table), root) == \
+            bfs_tree_queue(table.tolist(), [root])
     # a disconnected table: the even and the odd residues of C6 under +2
     table = generator_table(list(range(6)), lambda a, b: (a + b) % 6, [2, 4])[1]
-    assert bfs_tree_of_table(table, 1) == bfs_tree_queue(table, 1)
+    assert bfs_tree_lists(*table_csr(table), 1) == \
+        bfs_tree_queue(table.tolist(), [1])
+
+
+@pytest.mark.parametrize("name", ["petersen-cover", "isolated", "random"])
+def test_bfs_tree_matches_queue_bfs_on_uneven_csr(name):
+    if name == "petersen-cover":
+        graph = homology_cover(petersen(), 2).graph
+    elif name == "isolated":
+        # degrees 0 to 4, with isolated vertices first, inside and last
+        graph = Graph.from_edges(12, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
+                                      (5, 6), (6, 8), (8, 9), (9, 10)])
+    else:
+        rng = np.random.default_rng(5)
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, 60, (70, 2)).tolist()
+                 if p[0] != p[1]}
+        graph = Graph.from_edges(60, sorted(pairs))
+    rows = [graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist()
+            for u in range(graph.n)]
+    for roots in ([0], [graph.n - 1], [4, 0, graph.n // 2], list(range(graph.n))):
+        assert bfs_tree_lists(graph.indptr, graph.indices, np.array(roots)) \
+            == bfs_tree_queue(rows, roots)
+    assert bfs_tree_lists(graph.indptr, graph.indices, 0) == \
+        bfs_tree_queue(rows, [0])
+
+
+@pytest.mark.parametrize("name", ["psl23", "lps29", "C6-shifted"])
+def test_cayley_graph_distances_from_vertex_0(name):
+    # a Cayley graph's BFS from the identity gives vertex 0's distances when
+    # the identity is vertex 0; "C6-shifted" lists the identity last
+    if name == "C6-shifted":
+        cay = cayley_graph([1, 2, 3, 4, 5, 0], lambda a, b: (a + b) % 6, [1, 5])
+    else:
+        cay = cayley_graph(*cayley_input(name))
+    g = cay.graph
+    depth = g.bfs_distances(0)
+    assert depth.tolist() == bfs_distances_brute(g, 0)
+    assert not depth.flags.writeable and g.bfs_distances(0) is depth
+    assert g.is_connected()
 
 
 # --- the retired vertex-at-a-time loops, kept as oracles ----------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,3 +525,66 @@ def test_closure_carries_the_keys_of_its_tuples(name):
     plain = list(closure)
     assert plain == closure and type(plain) is list
     assert not hasattr(closure[:], "right_table")
+
+
+def sequence_input(name):
+    """An Elements and the tuple list that the retired list subclass held,
+    from the element-at-a-time oracles."""
+    if name == "lps29":
+        gens, modulus, q = closure_input(name)
+        return (psl.subgroup_closure(gens, modulus, q),
+                subgroup_closure_brute(gens, modulus, q))
+    return psl.psl_elements(5, 1), psl_elements_brute(5, 1)
+
+
+@pytest.mark.parametrize("name", ["lps29", "psl2-5"])
+def test_elements_reads_as_a_sequence_of_tuples(name):
+    elements, tuples = sequence_input(name)
+    n = len(tuples)
+    assert len(elements) == n
+    assert [elements[i] for i in (0, 1, n // 2, n - 1)] == \
+        [tuples[i] for i in (0, 1, n // 2, n - 1)]
+    assert elements[-1] == tuples[-1] and elements[-n] == tuples[0]
+    with pytest.raises(IndexError):
+        elements[n]
+    for part in (slice(None), slice(3, 40), slice(-7, None), slice(None, None, 5),
+                 slice(None, None, -3), slice(5, 5)):
+        got = elements[part]
+        assert type(got) is list and got == tuples[part]
+    picks = np.array([n - 1, 0, 7, 7])
+    assert elements.take(picks) == [tuples[i] for i in picks]
+    assert list(elements) == tuples         # iteration, in the oracle's order
+    assert elements == tuples and tuples == elements
+    assert elements != tuples[:-1] and elements != tuples[::-1]
+    assert elements != tuple(tuples)
+
+
+@pytest.mark.parametrize("name", ["lps29", "psl2-5"])
+def test_elements_finds_members_by_key(name):
+    elements, tuples = sequence_input(name)
+    modulus = elements.modulus
+    for i in (0, 1, len(tuples) // 3, len(tuples) - 1):
+        assert tuples[i] in elements
+        assert elements.index(tuples[i]) == elements.position(tuples[i]) == i
+    # not canonical, out of range, no unit entry, or not a matrix at all
+    outside = [(2, 0, 0, (modulus + 1) // 2), (modulus, 0, 0, 1), (0, 0, 0, 1),
+               (1, 0, 0), "abcd", None]
+    for x in outside:
+        assert x not in elements
+        with pytest.raises(ValueError, match="not in the sequence"):
+            elements.index(x)
+
+
+def test_closure_keeps_only_its_keys():
+    """A q=29 closure holds one int64 key per element once it returns, and no
+    Python object per element."""
+    gens, modulus, q = closure_input("lps29")
+    psl.subgroup_closure(gens, modulus, q)      # fill the module's caches
+    tracemalloc.start()
+    try:
+        closure = psl.subgroup_closure(gens, modulus, q)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(closure) == 12180
+    assert kept <= 16 * len(closure)

@@ -60,12 +60,13 @@ class Graph:
         return np.diff(self.indptr)
 
     def is_regular(self) -> bool:
-        return len(np.unique(self.degrees())) <= 1
+        degs = self.degrees()
+        return not len(degs) or bool(degs.min() == degs.max())
 
     @property
     def k(self) -> int:
-        degs = np.unique(self.degrees())
-        if len(degs) != 1:
+        degs = self.degrees()
+        if not len(degs) or degs.min() != degs.max():
             raise ValueError("graph is not regular")
         return int(degs[0])
 
@@ -195,12 +196,21 @@ def filled_table(elements: Sequence[Hashable], mul: Callable,
 
 
 def inverse_permutations(columns: np.ndarray) -> np.ndarray:
-    """The inverse of each column of an (n, k) int64 array whose columns are
-    permutations of range(n); ValueError if one is not."""
-    inverse = np.argsort(columns, axis=0)
-    if not (np.take_along_axis(columns, inverse, axis=0)
-            == np.arange(len(columns))[:, None]).all():
+    """The inverse of each column of an (n, k) integer array whose columns
+    are permutations of range(n), as int64; ValueError if one is not.
+
+    One scatter per column, inverse[columns[i, j], j] = i: an entry out of
+    range is rejected first, and a repeat is an entry that does not read
+    back."""
+    n, k = columns.shape
+    if columns.size and (columns.min() < 0 or columns.max() >= n):
         raise ValueError("a table column is not a permutation")
+    inverse = np.empty((n, k), dtype=np.int64)
+    rows = np.arange(n)
+    for j in range(k):
+        inverse[columns[:, j], j] = rows
+        if not (inverse[columns[:, j], j] == rows).all():
+            raise ValueError("a table column is not a permutation")
     return inverse
 
 

@@ -13,6 +13,12 @@ one int64 key per product; ``canon``/``mat_mul`` are their oracle.
 sequence of the tuples that holds only their int64 row keys, 8 bytes per
 element, makes tuples from the keys when they are read, and fills Cayley
 table columns from the keys with ``right_table``.
+
+``subgroup_closure`` and ``right_table`` find rows by direct address, not by
+sorting keys: ``_slots`` maps a canonical row to its pivot position and
+other three entries, one int32 entry of a ``_slot_index`` per slot, about
+modulus**3 of them.  The index lives for one call and is capped at
+SLOT_CAP entries.
 """
 
 from __future__ import annotations
@@ -148,6 +154,65 @@ def _row_keys(rows: np.ndarray, modulus: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(rows.T), (modulus,) * 4)
 
 
+# --- slot index ---------------------------------------------------------------
+
+# Entries of the largest slot index allocated: 2 * 271**3 int32, 159 MB.  An
+# index has fewer than 2 * modulus**3 entries for every q >= 2, so this
+# admits every modulus up to 271, the largest prime whose whole PSL(2, Z/m)
+# fits in CAP; of those, 2**8 has the largest index, 31.5 million entries.
+# The LPS builds hold 0.9 MB at q=61, 5.2 MB at q=109 and 23.9 MB at q=181.
+SLOT_CAP = 2 * 271 ** 3
+
+# Frontier or element rows per ``product_keys`` call in ``subgroup_closure``
+# and ``right_table``.  At q=61 (best of 12 on a 2-core host) the closure
+# took 29.5, 31.5, 34.9 and 40.8 ms at 4,096, 8,192, 16,384 and 32,768 rows
+# and 47.5 ms at a whole level per call; ``right_table`` took 18.9-19.8 ms
+# from 4,096 rows up and 28.7 ms in one call.  8,192 rows keep a block's
+# temporaries near 3 MB at |S| = 6.
+ROW_BLOCK = 8192
+
+
+def _slot_index(modulus: int, q: int) -> np.ndarray:
+    """A zeroed int32 array with one entry per slot of ``_slots``;
+    ResourceLimitError, before allocating, above SLOT_CAP entries."""
+    r = modulus // q
+    size = modulus ** 3 + r * modulus ** 2 + r * r * modulus + r ** 3
+    if size > SLOT_CAP:
+        raise ResourceLimitError(f"slot index of {size} > {SLOT_CAP} entries "
+                                 f"for modulus {modulus}")
+    return np.zeros(size, dtype=np.int32)
+
+
+def _slots(keys: np.ndarray, modulus: int, q: int) -> np.ndarray:
+    """The slot of each row key, an array of the same shape: a canonical
+    row's pivot position and its other three entries, in a range of its own
+    per pivot position.  With m = modulus and r = m // q, and x = q * x' for
+    a non-unit entry x:
+
+    * pivot a (a = 1):                   b m^2 + c m + d, below m^3;
+    * pivot b (b = 1):            m^3 + a' m^2 + c m + d;
+    * pivot c (c = 1):  m^3 + r m^2 + (a' r + b') m + d;
+    * pivot d (d = 1):  m^3 + r m^2 + r^2 m + (a' r + b') r + c'.
+
+    Injective on canonical rows, which are all the rows ``product_keys``
+    returns, and below the length of ``_slot_index`` for any four entries
+    below m.  Most rows of a group have pivot a, whose slot is the key
+    minus m^3; only the others are unravelled."""
+    m, r = modulus, modulus // q
+    cube = m ** 3
+    slots = keys - cube
+    # a != 1 exactly where the key is outside [m^3, 2 m^3); as unsigned, a
+    # negative difference is above m^3 too
+    other = np.nonzero(slots.view(np.uint64) >= cube)
+    if len(other[0]):
+        a, b, c, d = np.unravel_index(keys[other], (m,) * 4)
+        ab = a // q * r + b // q
+        slots[other] = cube + np.where(
+            b == 1, (a // q * m + c) * m + d,
+            r * m * m + np.where(c == 1, ab * m + d, r * r * m + ab * r + c // q))
+    return slots
+
+
 def mat_pow(x: Mat, e: int, modulus: int, q: int) -> Mat:
     out = canon(IDENT, modulus, q)
     base = x
@@ -196,7 +261,7 @@ class Elements(Sequence):
     tuple by its key.  An ``Elements`` equals a list, or another
     ``Elements``, with the same tuples in the same order.  ``right_table``
     fills Cayley table columns from the keys with ``product_keys`` and a
-    sorted-key search, without a tuple product.
+    slot index, without a tuple product.
     """
 
     def __init__(self, keys: np.ndarray, modulus: int, q: int):
@@ -250,28 +315,32 @@ class Elements(Sequence):
     index = position
 
     def right_table(self, gens) -> np.ndarray:
-        """int64 table[i, j] = index of self[i] * gens[j], every column from
-        one ``product_keys`` call; ValueError if an element repeats (equal
-        adjacent keys, once sorted) or a product is not in the sequence.
+        """int64 table[i, j] = index of self[i] * gens[j]; ValueError if an
+        element repeats or a product is not in the sequence.
 
-        Right multiplication is injective, so each column's keys, sorted,
-        equal the elements' keys, sorted, exactly when the sequence is
-        closed; sorting both matches each product to its element."""
-        rows = np.stack(np.unravel_index(self.keys, (self.modulus,) * 4),
-                        axis=1)
-        order = np.argsort(self.keys)
-        ordered = self.keys[order]
-        if (ordered[1:] == ordered[:-1]).any():
+        Each element's index is written at its slot of a ``_slot_index``;
+        a repeat is an index that does not read back.  Products are formed
+        ``ROW_BLOCK`` rows at a time with ``product_keys``, and each is
+        found at its slot and confirmed by its key."""
+        n, modulus, q = len(self), self.modulus, self.q
+        index = _slot_index(modulus, q)
+        slots = _slots(self.keys, modulus, q)
+        ids = np.arange(1, n + 1, dtype=np.int32)   # 0 marks a free slot
+        index[slots] = ids
+        if (index[slots] != ids).any():
             raise ValueError("duplicate elements")
+        del slots, ids
         gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
-                          self.modulus, self.q)
-        keys = product_keys(rows, gens, self.modulus, self.q)
-        by_key = np.argsort(keys, axis=0)
-        if not (np.take_along_axis(keys, by_key, axis=0)
-                == ordered[:, None]).all():
-            raise ValueError("elements not closed under the generators")
-        table = np.empty_like(keys)
-        table[by_key, np.arange(len(gens))] = order[:, None]
+                          modulus, q)
+        table = np.empty((n, len(gens)), dtype=np.int64)
+        for start in range(0, n, ROW_BLOCK):
+            rows = np.array(np.unravel_index(
+                self.keys[start:start + ROW_BLOCK], (modulus,) * 4)).T
+            keys = product_keys(rows, gens, modulus, q)
+            found = index[_slots(keys, modulus, q)]
+            block = np.subtract(found, 1, out=table[start:start + ROW_BLOCK])
+            if not (found.all() and (self.keys[block] == keys).all()):
+                raise ValueError("elements not closed under the generators")
         return table
 
 
@@ -306,38 +375,38 @@ def subgroup_closure(gens: list[Mat], modulus: int, q: int) -> Elements:
     """Breadth-first closure under right multiplication; insertion-ordered.
 
     Each BFS level is the frontier times the generators in row-major order,
-    as ``product_keys`` gives them; its new elements are kept in order of
-    first occurrence, which is the order of an element-at-a-time loop.
-    ResourceLimitError above KEY_MODULUS_LIMIT or past CAP elements.
+    as ``product_keys`` gives them, ``ROW_BLOCK`` frontier rows at a time;
+    its new elements are kept in order of first occurrence, which is the
+    order of an element-at-a-time loop.  A product is new when its slot of
+    a ``_slot_index`` is unmarked.  ResourceLimitError above
+    KEY_MODULUS_LIMIT or SLOT_CAP, or past CAP elements.
     """
-    frontier = canon_rows([IDENT], modulus, q)
+    ident = _row_keys(canon_rows([IDENT], modulus, q), modulus)
     gens = canon_rows(np.asarray(gens, dtype=np.int64).reshape(-1, 4),
                       modulus, q)
     shape = (modulus,) * 4
-    levels = [_row_keys(frontier, modulus)]
-    seen = levels[0]                                # sorted
+    seen = _slot_index(modulus, q)          # nonzero at an element's slot
+    seen[_slots(ident, modulus, q)] = 1
+    levels = [ident]
     count = 1
-    while len(frontier):
-        keys = product_keys(frontier, gens, modulus, q).ravel()
-        # the distinct keys and, by a min over each run of equal keys in
-        # the sort, the position of each one's first occurrence
-        order = np.argsort(keys)
-        ordered = keys[order]
-        run_start = np.empty(len(keys), dtype=bool)
-        run_start[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-        starts = run_start.nonzero()[0]
-        uniq = ordered[starts]
-        first = np.minimum.reduceat(order, starts)
-        pos = np.searchsorted(seen, uniq)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != uniq
-        seen = np.insert(seen, pos[fresh], uniq[fresh])
-        new = keys[np.sort(first[fresh])]
-        count += len(new)
-        if count > CAP:
-            raise ResourceLimitError(f"closure exceeded cap {CAP}")
-        levels.append(new)
-        frontier = np.array(np.unravel_index(new, shape)).T
+    while len(levels[-1]):
+        new = []
+        for start in range(0, len(levels[-1]), ROW_BLOCK):
+            rows = np.array(np.unravel_index(
+                levels[-1][start:start + ROW_BLOCK], shape)).T
+            keys = product_keys(rows, gens, modulus, q).ravel()
+            slots = _slots(keys, modulus, q)
+            fresh = np.flatnonzero(seen[slots] == 0)
+            # mark each unmarked slot with len(keys) - p for the smallest
+            # position p that reaches it: the first occurrence
+            marks = np.subtract(len(keys), fresh, dtype=np.int32)
+            slots = slots[fresh]
+            np.maximum.at(seen, slots, marks)
+            new.append(keys[fresh[seen[slots] == marks]])
+            count += len(new[-1])
+            if count > CAP:
+                raise ResourceLimitError(f"closure exceeded cap {CAP}")
+        levels.append(np.concatenate(new))
     return Elements(np.concatenate(levels), modulus, q)
 
 

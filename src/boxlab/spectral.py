@@ -133,7 +133,7 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
         for j in itertools.count():
             yield v
             w = a @ v
-            w -= w.mean()
+            w -= float(w.sum()) / n        # w.mean(), bit for bit
             # into scratch, never into prev: at the first step prev is the
             # caller's v, from which the second pass starts again
             w -= np.multiply(b, prev, out=scratch)
@@ -145,7 +145,7 @@ def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
                     return
             else:
                 w -= np.multiply(alphas[j], v, out=scratch)
-            w /= betas[j]
+            w *= 1.0 / betas[j]
             prev, v, b = v, w, betas[j]
 
     def ritz(alphas, betas):

@@ -530,6 +530,35 @@ def test_inverse_permutations_rejects_non_permutation():
     with pytest.raises(ValueError, match="not a permutation"):
         inverse_permutations(cols)
     assert inverse_permutations(cols[:, :1]).ravel().tolist() == [2, 0, 1]
+    # out of range either way, a repeat, and a repeat in a later column
+    for bad in ([[0], [1], [3]], [[0], [-1], [1]], [[2], [0], [0]],
+                [[0, 1], [1, 0], [2, 0]]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            inverse_permutations(np.array(bad))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_inverse_permutations_match_argsort(dtype):
+    rng = np.random.default_rng(7)
+    cols = np.column_stack([rng.permutation(500) for _ in range(4)])
+    inverse = inverse_permutations(cols.astype(dtype))
+    assert inverse.dtype == np.int64
+    assert np.array_equal(inverse, np.argsort(cols, axis=0))
+    assert inverse_permutations(cols[:, :0]).shape == (500, 0)
+
+
+def test_degree_checks_match_distinct_degrees():
+    graphs_ = [cycle(5), petersen(), complete_bipartite(2, 3),
+               Graph.from_edges(0, []), Graph.from_edges(3, []),
+               Graph.from_edges(4, [(0, 1), (2, 3), (1, 2)])]
+    for g in graphs_:
+        degs = np.unique(g.degrees())
+        assert g.is_regular() is (len(degs) <= 1)
+        if len(degs) == 1:
+            assert g.k == degs[0] and type(g.k) is int
+        else:
+            with pytest.raises(ValueError, match="not regular"):
+                g.k
 
 
 def bfs_tree_queue(rows, roots):

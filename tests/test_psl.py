@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from boxlab import psl
 from boxlab.errors import ResourceLimitError
+from boxlab.graphs import generator_table
 from boxlab.quaternion import Quat, quaternion_generators
 from boxlab.zmod import LpsParams
 from conftest import word_to_class
@@ -298,6 +299,12 @@ def closure_input(name):
         return [(1, 1, 0, 1), (1, -1, 0, 1), (0, 1, -1, 0)], 3, 3
     if name == "identity":
         return [psl.IDENT], 9, 3
+    if name == "singular":
+        # the second generator is singular, and 243 of the 990 elements
+        # pivot on each of b, c and d
+        return [(23, 11, 5, 19), (24, 21, 18, 5)], 27, 3
+    if name.startswith("random"):
+        return random_symmetric_generators(*map(int, name.split("-")[1:]))
     kind, *qnk = name.split("-")
     q, n = int(qnk[0]), int(qnk[1])
     if kind == "mgen":
@@ -305,9 +312,24 @@ def closure_input(name):
     return list(psl.kernel_generators(q, n, int(qnk[2]))), q ** n, q
 
 
-@pytest.mark.parametrize("name", [
+def random_symmetric_generators(q, seed):
+    """One to three random elements of PSL(2, q) and their inverses, the
+    identity dropped, sorted; q is also the modulus."""
+    rng = random.Random(seed)
+    elements = psl.psl_elements(q, 1)
+    picks = [elements[rng.randrange(len(elements))]
+             for _ in range(rng.randint(1, 3))]
+    gens = set(picks) | {psl.mat_inv(x, q, q) for x in picks}
+    return sorted(gens - {psl.canon(psl.IDENT, q, q)}), q, q
+
+
+CLOSURE_CASES = [
     "lps29", "psl23", "identity", "mgen-3-2", "mgen-3-3", "mgen-3-4",
-    "mgen-5-2", "kernel-3-2-1", "kernel-3-3-1", "kernel-3-4-2", "kernel-5-2-1"])
+    "mgen-5-2", "kernel-3-2-1", "kernel-3-3-1", "kernel-3-4-2", "kernel-5-2-1",
+    "singular", *(f"random-{q}-{seed}" for q in (7, 11, 13) for seed in range(4))]
+
+
+@pytest.mark.parametrize("name", CLOSURE_CASES)
 def test_subgroup_closure_matches_brute_order(name):
     gens, modulus, q = closure_input(name)
     assert psl.subgroup_closure(gens, modulus, q) == \
@@ -472,6 +494,95 @@ def test_batch_layer_key_bound():
     with pytest.raises(ResourceLimitError):
         psl.subgroup_closure([psl.IDENT], modulus, modulus)
     assert psl.KEY_MODULUS_LIMIT ** 4 < 2 ** 63 <= modulus ** 4
+
+
+# --- the slot index -------------------------------------------------------------
+
+
+def canonical_rows(modulus, q):
+    """Every canonical row below modulus, as an (N, 4) int64 array in key
+    order: its first unit entry is 1, all four pivot positions included."""
+    rows = np.stack(np.unravel_index(np.arange(modulus ** 4), (modulus,) * 4),
+                    axis=1)
+    units = rows % q != 0
+    has_unit = units.any(axis=1)
+    pivot = rows[np.arange(len(rows)), units.argmax(axis=1)]
+    return rows[has_unit & (pivot == 1)]
+
+
+def row_of_slot(slot, modulus, q):
+    """The canonical row at a slot, read off the layout ``psl._slots``
+    documents: pivot a, b, c or d, in ranges of m^3, r m^2, r^2 m and r^3."""
+    m, r = modulus, modulus // q
+    if slot < m ** 3:
+        b, rest = divmod(slot, m * m)
+        return (1, b, *divmod(rest, m))
+    slot -= m ** 3
+    if slot < r * m * m:
+        a, rest = divmod(slot, m * m)
+        return (q * a, 1, *divmod(rest, m))
+    slot -= r * m * m
+    if slot < r * r * m:
+        ab, d = divmod(slot, m)
+        a, b = divmod(ab, r)
+        return (q * a, q * b, 1, d)
+    ab, c = divmod(slot - r * r * m, r)
+    a, b = divmod(ab, r)
+    return (q * a, q * b, q * c, 1)
+
+
+@pytest.mark.parametrize("modulus,q", [(7, 7), (9, 3), (25, 5), (27, 3)])
+def test_slots_are_a_bijection_onto_the_index(modulus, q):
+    rows = canonical_rows(modulus, q)
+    pivots = (rows % q != 0).argmax(axis=1)
+    assert set(pivots.tolist()) == {0, 1, 2, 3}
+    # rows of any determinant: product_keys returns each one as it is
+    keys = psl.product_keys(rows, np.array([psl.IDENT]), modulus, q).ravel()
+    assert keys.tolist() == row_keys_of(rows.tolist(), modulus)
+    slots = psl._slots(keys, modulus, q)
+    size = len(psl._slot_index(modulus, q))
+    assert np.array_equal(np.sort(slots), np.arange(size))
+    assert [row_of_slot(s, modulus, q) for s in slots.tolist()] == \
+        [tuple(row) for row in rows.tolist()]
+    # any four entries below the modulus land inside the index
+    stray = psl._slots(np.random.default_rng(modulus).integers(
+        0, modulus ** 4, 5000), modulus, q)
+    assert 0 <= stray.min() and stray.max() < size
+
+
+def test_slot_index_cap_raises_before_allocating():
+    modulus = 347                   # 347**3 > SLOT_CAP
+    assert modulus ** 3 > psl.SLOT_CAP
+    elements = psl.Elements(np.array([tuple_key(psl.IDENT, modulus)]),
+                            modulus, modulus)
+    psl.canon_rows([psl.IDENT], modulus, modulus)   # fill the inverse cache
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="slot index"):
+            psl.subgroup_closure([psl.IDENT], modulus, modulus)
+        with pytest.raises(ResourceLimitError, match="slot index"):
+            elements.right_table([psl.IDENT])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("q,n", [(271, 1), (3, 5), (2, 8)])
+def test_slot_index_admits_every_modulus_whose_psl_fits_in_cap(q, n):
+    # the largest prime, power of 3 and power of 2 with PSL(2, Z/m) within
+    # CAP; their indexes are the largest of any such modulus
+    assert psl.psl_order(q, n) <= psl.CAP < psl.psl_order(q, n + 1)
+    assert psl.subgroup_closure([psl.IDENT], q ** n, q) == [psl.IDENT]
+
+
+@pytest.mark.parametrize("name", CLOSURE_CASES)
+def test_right_table_matches_generator_table(name):
+    gens, modulus, q = closure_input(name)
+    closure = psl.subgroup_closure(gens, modulus, q)
+    mul = lambda x, y: psl.mat_mul(x, y, modulus, q)
+    assert np.array_equal(closure.right_table(gens),
+                          generator_table(list(closure), mul, gens)[1])
 
 
 # --- element sequences that carry their rows ----------------------------------

@@ -140,3 +140,22 @@ def test_library_imports_no_private_numpy_or_scipy_module():
                       and any(part.startswith("_")
                               for part in name.split("."))]
     assert not found, f"private numpy or scipy imports: {found}"
+
+
+def test_library_reads_no_environment_variables():
+    # a library setting comes in as an argument: an environment variable
+    # read inside boxlab would switch behaviour that no caller can see
+    found = []
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert not found, f"environment reads in the library: {found}"

@@ -12,12 +12,17 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
+from .psl import ROW_BLOCK
 
 
 @dataclass(eq=False)
 class Graph:
     """A simple graph as int64 CSR arrays: the neighbours of vertex u are
-    indices[indptr[u]:indptr[u + 1]], in ascending order."""
+    indices[indptr[u]:indptr[u + 1]], in ascending order.
+
+    The scipy CSR of ``sparse_adjacency`` is built once per graph and holds
+    these two arrays themselves, not copies, so neither may be mutated once
+    the graph is made."""
 
     n: int
     indptr: np.ndarray
@@ -103,8 +108,8 @@ class Graph:
             roots = np.unique(labels, return_index=True)[1]
             depth = bfs_tree(self.indptr, self.indices, roots)[3]
         odd = (depth & 1).astype(bool)
-        src, dst = self.arcs()
-        return not (odd[src] == odd[dst]).any()
+        # each row's parity, repeated by degree, against its neighbours'
+        return not (np.repeat(odd, self.degrees()) == odd[self.indices]).any()
 
     def adjacency_matrix(self):
         a = np.zeros((self.n, self.n))
@@ -112,11 +117,20 @@ class Graph:
         return a
 
     def sparse_adjacency(self):
+        """The adjacency as a scipy CSR, built once per graph; read-only."""
+        return self._sparse_adjacency
+
+    @functools.cached_property
+    def _sparse_adjacency(self):
         from scipy import sparse
 
-        return sparse.csr_matrix(
-            (np.ones(len(self.indices)), self.indices, self.indptr),
-            shape=(self.n, self.n))
+        # the constructor would copy the index arrays down to int32: an
+        # empty matrix is given the graph's own int64 arrays instead, and
+        # only the float64 ones are new
+        a = sparse.csr_matrix((self.n, self.n))
+        a.indptr, a.indices = self.indptr, self.indices
+        a.data = np.ones(len(self.indices))
+        return a
 
 
 # --- named graphs ----------------------------------------------------------
@@ -224,38 +238,44 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
     rows all hold |S| entries; there the slot is the column.
 
     Run a level at a time: a queue BFS discovers the next level in the
-    row-major order of the current level's rows, first occurrence first."""
+    row-major order of the current level's rows, first occurrence first.
+    A level is read ``ROW_BLOCK`` rows at a time, in order, so no level's
+    neighbours are all held at once; the order is unchanged, since a vertex
+    found in one block is no longer fresh in the blocks after it."""
     parent = np.full(len(indptr) - 1, -1, dtype=np.int64)
     via = np.full(len(parent), -1, dtype=np.int64)
     depth = np.full(len(parent), -1, dtype=np.int64)
-    # per vertex, its first position in the level that reaches it
+    # per vertex, its first position in the block that reaches it
     first_at = np.full(len(parent), len(indices), dtype=np.int64)
     roots = np.atleast_1d(np.asarray(root, dtype=np.int64))
     parent[roots] = roots
     depth[roots] = 0
     levels = [roots]
     while len(levels[-1]):
-        level = levels[-1]
-        start = indptr[level]
-        sizes = indptr[level + 1] - start
-        # the level's rows laid end to end: position p is slot
-        # p - offsets[row[p]] of row row[p], at indices[gather[p]]
-        offsets = np.cumsum(sizes)
-        offsets -= sizes
-        row = np.repeat(np.arange(len(level)), sizes)
-        gather = (start - offsets)[row]
-        gather += np.arange(len(gather))
-        reached = indices[gather]
-        fresh = np.flatnonzero(parent[reached] < 0)
-        candidates = reached[fresh]
-        np.minimum.at(first_at, candidates, fresh)
-        is_first = first_at[candidates] == fresh
-        first, found = fresh[is_first], candidates[is_first]
-        row = row[first]
-        parent[found] = level[row]
-        via[found] = first - offsets[row]
-        depth[found] = len(levels)
-        levels.append(found)
+        new = []
+        for at in range(0, len(levels[-1]), ROW_BLOCK):
+            level = levels[-1][at:at + ROW_BLOCK]
+            start = indptr[level]
+            sizes = indptr[level + 1] - start
+            # the block's rows laid end to end: position p is slot
+            # p - offsets[row[p]] of row row[p], at indices[gather[p]]
+            offsets = np.cumsum(sizes)
+            offsets -= sizes
+            row = np.repeat(np.arange(len(level)), sizes)
+            gather = (start - offsets)[row]
+            gather += np.arange(len(gather))
+            reached = indices[gather]
+            fresh = np.flatnonzero(parent[reached] < 0)
+            candidates = reached[fresh]
+            np.minimum.at(first_at, candidates, fresh)
+            is_first = first_at[candidates] == fresh
+            first, found = fresh[is_first], candidates[is_first]
+            row = row[first]
+            parent[found] = level[row]
+            via[found] = first - offsets[row]
+            depth[found] = len(levels)
+            new.append(found)
+        levels.append(np.concatenate(new))
     return np.concatenate(levels), parent, via, depth
 
 
@@ -263,14 +283,23 @@ def bfs_tree(indptr: np.ndarray, indices: np.ndarray,
 class CayleyGraph:
     """A Cayley graph with its group kept as a generator table: element i
     times generator j is element table[i, j], and order/parent/via are
-    ``bfs_tree``'s from the identity, order[0], so every element is a word."""
+    ``bfs_tree``'s from the identity, order[0], so every element is a word.
+
+    The table is not stored.  Row i of it is row i of the graph's ascending
+    adjacency, permuted: column j sits at column slot[i, j] of that row,
+    and ``table`` gathers the int64 array on each read."""
 
     graph: Graph
     elements: Sequence
-    table: np.ndarray = field(repr=False)
+    slot: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
     via: np.ndarray = field(repr=False)
+
+    @property
+    def table(self) -> np.ndarray:
+        rows = self.graph.indices.reshape(self.slot.shape)
+        return np.take_along_axis(rows, self.slot, axis=1)
 
 
 def tree_products(columns: np.ndarray, order: np.ndarray, parent: np.ndarray,
@@ -300,6 +329,10 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     elements' own rows when they carry them (``psl.Elements``), else with
     mul, one call per entry.  The partner column is its inverse
     permutation, since x * s^-1 = y exactly when y * s = x.
+
+    The BFS tree is taken on the table; its rows are then sorted in place
+    into the graph's adjacency, so the table is held only as the slot map
+    of ``CayleyGraph``.
     """
     if not hasattr(elements, "right_table"):
         elements = list(elements)
@@ -328,19 +361,36 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
     table[:, filled] = columns
     # an involution's column is its own inverse permutation
     table[:, [inverse_of[j] for j in filled]] = inverse_permutations(columns)
+    del columns
     indptr = np.arange(len(elements) + 1) * len(gens)
     order, parent, via, depth = bfs_tree(indptr, table.ravel(), ident)
     if len(order) < len(elements):
         raise ValueError(
             f"generators do not generate: reached component of size "
             f"{len(order)} of {len(elements)}")
-    graph = Graph(n=len(elements), indptr=indptr,
-                  indices=np.sort(table, axis=1).ravel(), vertex_transitive=True)
+    # sort the table's rows in place, ROW_BLOCK at a time, into the graph's
+    # adjacency: each entry carries its column through the sort in its low
+    # bits (a row's entries are distinct), and the slot map notes where
+    # each column went
+    k = len(gens)
+    bits = max(k - 1, 0).bit_length()
+    slot = np.empty(table.shape, dtype=np.min_scalar_type(k))
+    for start in range(0, len(table), ROW_BLOCK):
+        rows = table[start:start + ROW_BLOCK]
+        rows <<= bits
+        rows |= np.arange(k)
+        rows.sort(axis=1)
+        column = rows & ((1 << bits) - 1)
+        rows >>= bits
+        column += np.arange(start * k, (start + len(rows)) * k, k)[:, None]
+        slot.reshape(-1)[column] = np.arange(k, dtype=slot.dtype)
+    graph = Graph(n=len(elements), indptr=indptr, indices=table.ravel(),
+                  vertex_transitive=True)
     if ident == 0:
         # BFS depths do not depend on the order of a row's neighbours
         depth.flags.writeable = False
         graph._distances_from_0 = depth
-    return CayleyGraph(graph=graph, elements=elements, table=table,
+    return CayleyGraph(graph=graph, elements=elements, slot=slot,
                        order=order, parent=parent, via=via)
 
 

@@ -150,10 +150,11 @@ def adversarial_map(cay: CayleyGraph, f: np.ndarray | None = None) -> LipschitzM
         raise ValueError("eigenvector must be nonconstant")
     # row x, column y holds f(y^-1 x); with z = y^-1 x that is vectors[y * z, y]
     vectors = np.empty((n, n))
-    products = tree_products(cay.table, cay.order, cay.parent, cay.via)
+    table = cay.table       # gathered on each read
+    products = tree_products(table, cay.order, cay.parent, cay.via)
     vectors[products, np.arange(n)[:, None]] = f[cay.order]
     # sum_u (f(u) - f(u s))^2 per generator s, summed left to right
-    diffs = f[:, None] - f[cay.table]
+    diffs = f[:, None] - f[table]
     scale = math.sqrt(max(sum(col * col) for col in diffs.T))
     return LipschitzMap(graph=g, vectors=vectors / scale, name="adversarial")
 

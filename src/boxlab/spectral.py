@@ -72,7 +72,9 @@ def spectrum(graph: Graph) -> Spectrum:
     vals, vecs = eigh(graph.adjacency_matrix().T, driver="evd",
                       overwrite_a=True)
     r = graph.sparse_adjacency() @ vecs
-    r -= vecs * vals
+    # vecs is read only here: scaled in place, it needs no third n x n array
+    vecs *= vals
+    r -= vecs
     residual = float(np.abs(r, out=r).max())
     k = graph.k if graph.is_regular() else int(graph.degrees().max())
     if residual > 1e-9 * max(1, k):

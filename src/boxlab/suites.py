@@ -416,8 +416,11 @@ SUITES = {
 
 def run_suite(name: str, seed: int, timings: dict) -> list[dict]:
     """Run every criterion of a suite.  A crash becomes a failed result
-    carrying the error and the seed.  Each result's wall seconds are stored
-    in ``timings`` under its name."""
+    carrying the error and the seed.  Each result's wall seconds, and the
+    process's high-water mark in MB once it is done (``ru_maxrss``, which
+    Linux gives in KiB), are stored in ``timings`` under its name."""
+    import resource     # loaded only by a run that reads it
+
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     results = []
@@ -429,5 +432,7 @@ def run_suite(name: str, seed: int, timings: dict) -> list[dict]:
             results.append({"criterion": None, "name": fn.__name__,
                             "passed": False,
                             "details": {"error": repr(exc), "seed": seed}})
-        timings[results[-1]["name"]] = time.perf_counter() - start
+        timings[results[-1]["name"]] = (
+            time.perf_counter() - start,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return results

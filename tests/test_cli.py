@@ -145,7 +145,26 @@ def test_cli_timings_per_criterion(tmp_path, monkeypatch):
     report = json.loads(Path(timed).read_text())
     timings = report.pop("timings")
     assert report == json.loads(Path(plain).read_text())
-    assert set(timings) == {"total_seconds", "criteria"}
+    assert set(timings) == {"total_seconds", "criteria", "peak_rss_mb"}
     assert sorted(timings["criteria"]) == \
         sorted(r["name"] for r in report["results"])
     assert all(isinstance(t, float) for t in timings["criteria"].values())
+
+
+def test_cli_timings_report_peak_rss_per_criterion(tmp_path, monkeypatch):
+    # the process high-water mark after each criterion, in report order: a
+    # high-water mark never falls
+    import boxlab.suites as suites
+
+    monkeypatch.setitem(suites.SUITES, "spectra",
+                        (suites.criterion_lift, suites.criterion_admissible))
+    out = str(tmp_path / "timed.json")
+    assert main(["pipeline", "--suite", "spectra", "--timings",
+                 "--out", out]) == 0
+    report = json.loads(Path(out).read_text())
+    peaks = report["timings"]["peak_rss_mb"]
+    names = [r["name"] for r in report["results"]]
+    assert list(peaks) == sorted(names)     # the report's keys are sorted
+    marks = [peaks[name] for name in names]
+    assert all(isinstance(mb, float) and mb > 0 for mb in marks)
+    assert marks == sorted(marks)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -604,26 +605,78 @@ def test_bfs_tree_matches_queue_bfs(name):
         bfs_tree_queue(table.tolist(), [1])
 
 
-@pytest.mark.parametrize("name", ["petersen-cover", "isolated", "random"])
-def test_bfs_tree_matches_queue_bfs_on_uneven_csr(name):
-    if name == "petersen-cover":
-        graph = homology_cover(petersen(), 2).graph
-    elif name == "isolated":
-        # degrees 0 to 4, with isolated vertices first, inside and last
-        graph = Graph.from_edges(12, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 3),
-                                      (5, 6), (6, 8), (8, 9), (9, 10)])
+@pytest.mark.parametrize("name, block", [
+    # the real block keeps the plain case name
+    pytest.param(name, block,
+                 id=name if block == psl.ROW_BLOCK else f"{name}-block{block}")
+    for name in ("petersen-cover", "isolated", "random", "lps29")
+    for block in (1, 3, psl.ROW_BLOCK)])
+def test_bfs_tree_matches_queue_bfs_on_uneven_csr(name, block, monkeypatch):
+    # bfs_tree reads each level ROW_BLOCK rows at a time: blocks of 1 and 3
+    # rows split every level, so a vertex found in an earlier block must not
+    # be found again in a later one
+    monkeypatch.setattr(graphs, "ROW_BLOCK", block)
+    if name == "lps29":
+        indptr, indices = table_csr(lps_cayley(29).table)
     else:
-        rng = np.random.default_rng(5)
-        pairs = {tuple(sorted(p)) for p in rng.integers(0, 60, (70, 2)).tolist()
-                 if p[0] != p[1]}
-        graph = Graph.from_edges(60, sorted(pairs))
-    rows = [graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist()
-            for u in range(graph.n)]
-    for roots in ([0], [graph.n - 1], [4, 0, graph.n // 2], list(range(graph.n))):
-        assert bfs_tree_lists(graph.indptr, graph.indices, np.array(roots)) \
+        if name == "petersen-cover":
+            graph = homology_cover(petersen(), 2).graph
+        elif name == "isolated":
+            # degrees 0 to 4, with isolated vertices first, inside and last
+            graph = Graph.from_edges(12, [(1, 2), (1, 3), (1, 5), (1, 6),
+                                          (2, 3), (5, 6), (6, 8), (8, 9),
+                                          (9, 10)])
+        else:
+            rng = np.random.default_rng(5)
+            pairs = {tuple(sorted(p))
+                     for p in rng.integers(0, 60, (70, 2)).tolist()
+                     if p[0] != p[1]}
+            graph = Graph.from_edges(60, sorted(pairs))
+        indptr, indices = graph.indptr, graph.indices
+    n = len(indptr) - 1
+    rows = [indices[indptr[u]:indptr[u + 1]].tolist() for u in range(n)]
+    for roots in ([0], [n - 1], [4, 0, n // 2], list(range(n))):
+        assert bfs_tree_lists(indptr, indices, np.array(roots)) \
             == bfs_tree_queue(rows, roots)
-    assert bfs_tree_lists(graph.indptr, graph.indices, 0) == \
-        bfs_tree_queue(rows, [0])
+    assert bfs_tree_lists(indptr, indices, 0) == bfs_tree_queue(rows, [0])
+
+
+@pytest.mark.parametrize("name", ["lps29", "petersen-cover"])
+def test_sparse_adjacency_is_one_csr_on_the_graph_arrays(name):
+    from scipy import sparse
+
+    if name == "lps29":
+        g = lps_cayley(29).graph
+    else:
+        g = homology_cover(petersen(), 3).graph
+    a = g.sparse_adjacency()
+    assert g.sparse_adjacency() is a
+    assert np.shares_memory(a.indices, g.indices)
+    assert np.shares_memory(a.indptr, g.indptr)
+    assert a.indices.dtype == a.indptr.dtype == np.int64
+    # the products are those of the constructor's own (int32) CSR, bit for bit
+    fresh = sparse.csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr),
+                              shape=(g.n, g.n))
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal(g.n), rng.standard_normal((g.n, 2))):
+        assert np.array_equal(a @ x, fresh @ x)
+
+
+def test_cayley_graph_keeps_one_adjacency():
+    """A q=29 Cayley graph holds its arcs once, as the graph's int64
+    adjacency, beside a one-byte slot map and its BFS tree: at most 120 B
+    per vertex once it returns.  A stored int64 table beside the adjacency
+    kept 148 B."""
+    elements, mul, gens = cayley_input("lps29")
+    cayley_graph(elements, mul, gens)       # fill the module's caches
+    tracemalloc.start()
+    try:
+        cay = cayley_graph(elements, mul, gens)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cay.slot.dtype == np.uint8
+    assert kept <= 120 * cay.graph.n
 
 
 @pytest.mark.parametrize("name", ["psl23", "lps29", "C6-shifted"])

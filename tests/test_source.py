@@ -159,3 +159,60 @@ def test_library_reads_no_environment_variables():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in ("environ", "environb", "getenv", "getenvb")]
     assert not found, f"environment reads in the library: {found}"
+
+
+# scipy.sparse functions that build a matrix or array
+SPARSE_BUILDERS = re.compile(
+    r"(bsr|coo|csc|csr|dia|dok|lil)_(matrix|array)|(diags|eye|identity|"
+    r"random)(_array)?|spdiags|kron|kronsum|bmat|block_diag|block_array|"
+    r"hstack|vstack|rand")
+
+
+def _sparse_constructions(tree):
+    """The calls in a module that build a scipy sparse matrix: a builder
+    read from a ``scipy.sparse`` alias, or imported from it by name."""
+    aliases, builders = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "scipy.sparse"}
+            aliases |= {f"{alias.asname or alias.name}.sparse"
+                        for alias in node.names if alias.name == "scipy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "sparse"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
+            builders |= {alias.asname or alias.name for alias in node.names
+                         if SPARSE_BUILDERS.fullmatch(alias.name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in builders:
+            yield node
+        elif (isinstance(func, ast.Attribute)
+              and SPARSE_BUILDERS.fullmatch(func.attr)
+              and ast.unparse(func.value) in aliases):
+            yield node
+
+
+def test_sparse_matrices_are_built_only_by_graph():
+    # Graph caches one CSR on its own arrays; a second constructor elsewhere
+    # would rebuild the adjacency, with int32 copies of its index arrays, on
+    # every call
+    found, inside = [], 0
+    for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "graphs.py":
+            graph = next(node for node in tree.body
+                         if isinstance(node, ast.ClassDef)
+                         and node.name == "Graph")
+            allowed = {id(node) for node in ast.walk(graph)}
+        for call in _sparse_constructions(tree):
+            if id(call) in allowed:
+                inside += 1
+            else:
+                found.append(f"{path.name}:{call.lineno}")
+    assert not found, f"scipy sparse matrices built outside Graph: {found}"
+    assert inside == 1      # the check sees Graph's own construction

@@ -397,22 +397,68 @@ def cayley_graph(elements: Sequence[Hashable], mul: Callable,
 # --- girth ----------------------------------------------------------------
 
 
+GIRTH_PAIRS = 1 << 20   # (root, vertex) depths held by one girth batch
+
+
 def girth(graph: Graph) -> float:
-    """Length of the shortest cycle, math.inf for forests.  One BFS per
-    root: an arc (u, v), neither end the tree parent of the other, closes a
-    cycle through that non-tree edge of length at most depth[u] + depth[v]
-    + 1, with equality from a root on a shortest cycle.  Every vertex of a
-    vertex-transitive graph lies on a shortest cycle, so a flagged graph is
-    searched from vertex 0 alone."""
-    best = math.inf
+    """Length of the shortest cycle, math.inf for forests.
+
+    Every vertex of a vertex-transitive graph lies on a shortest cycle, so a
+    flagged graph is searched by one BFS from vertex 0: an arc (u, v),
+    neither end the tree parent of the other, closes a cycle through that
+    non-tree edge of length at most depth[u] + depth[v] + 1, with equality
+    from a root on a shortest cycle.  Any other graph is searched from every
+    root by ``_shortest_cycle_from``, a batch of roots at a time."""
+    if not graph.vertex_transitive:
+        best = math.inf
+        batch = max(1, GIRTH_PAIRS // max(graph.n, 1))
+        for first in range(0, graph.n, batch):
+            best = _shortest_cycle_from(
+                graph, np.arange(first, min(first + batch, graph.n)), best)
+            if best == 3:
+                break
+        return best
+    _, parent, _, depth = bfs_tree(graph.indptr, graph.indices, 0)
     src, dst = graph.arcs()
-    for root in range(1 if graph.vertex_transitive else graph.n):
-        _, parent, _, depth = bfs_tree(graph.indptr, graph.indices, root)
-        closing = (depth[src] >= 0) & (parent[src] != dst) & (parent[dst] != src)
-        if closing.any():
-            best = min(best, int((depth[src] + depth[dst])[closing].min()) + 1)
-        if best == 3:
-            break
+    closing = (depth[src] >= 0) & (parent[src] != dst) & (parent[dst] != src)
+    if not closing.any():
+        return math.inf
+    return int((depth[src] + depth[dst])[closing].min()) + 1
+
+
+def _shortest_cycle_from(graph: Graph, roots: np.ndarray, best) -> float:
+    """min(best, the length of a shortest cycle through one of the roots).
+
+    One BFS per root, all run a level at a time together.  At depth d, an
+    arc within the level closes a cycle of length at most 2d + 1, and a
+    vertex of the next level reached twice one of length at most 2d + 2,
+    with equality from a root on a shortest cycle; so the search stops at
+    the first depth d where one is found or where 2d + 1 >= best."""
+    n = graph.n
+    # depth[i * n + v]: the depth of v from roots[i], -1 until reached
+    depth = np.full(len(roots) * n, -1, dtype=np.int64)
+    level = np.arange(len(roots)) * n + roots
+    depth[level] = 0
+    d = 0
+    while len(level) and 2 * d + 1 < best:
+        offset, u = np.divmod(level, n)
+        offset *= n
+        start = graph.indptr[u]
+        sizes = graph.indptr[u + 1] - start
+        # the level's rows laid end to end, each keyed by its root
+        ends = np.cumsum(sizes)
+        gather = np.repeat(start - ends + sizes, sizes)
+        gather += np.arange(len(gather))
+        reached = np.repeat(offset, sizes)
+        reached += graph.indices[gather]
+        at = depth[reached]
+        if (at == d).any():
+            return min(best, 2 * d + 1)
+        level = np.sort(reached[at < 0])
+        if (level[1:] == level[:-1]).any():
+            return min(best, 2 * d + 2)
+        d += 1
+        depth[level] = d
     return best
 
 
@@ -544,11 +590,22 @@ def verify_covering(cover: CoverGraph) -> bool:
 
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
-    """Whether perm is a permutation of range(n) mapping edges onto edges."""
+    """Whether perm is a permutation of range(n) mapping edges onto edges;
+    ValueError if the graph's rows are not strictly ascending, since its
+    arc keys src * n + dst are then read as sorted without sorting them."""
     n = graph.n
     p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+    if p.shape != (n,) or n and (p.min() < 0 or p.max() >= n
+                                 or np.bincount(p).max() > 1):
         return False
-    # a bijection maps the arcs u -> v injectively, so they must sort equal
-    src, dst = graph.arcs()
-    return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))
+    # the keys of the arcs u -> v and of their images, row by row
+    degrees = graph.degrees()
+    keys = np.repeat(np.arange(n) * n, degrees)
+    keys += graph.indices
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("the graph's rows are not strictly ascending")
+    # a bijection maps the arcs injectively, so they must sort equal
+    image = np.repeat(p * n, degrees)
+    image += p[graph.indices]
+    image.sort()
+    return np.array_equal(image, keys)

@@ -285,7 +285,11 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
     irreducible of that dimension.
 
     The product table is filled from greedy generator columns along a BFS
-    tree; ValueError if mul disagrees on a spot-checked row or is not closed."""
+    tree; ValueError if mul disagrees on a spot-checked row or is not closed.
+    The operator is the one |G|-square array ``y[table]``, Fortran-ordered
+    like the table, which LAPACK solves in place."""
+    from scipy.linalg import eigh
+
     elements = list(elements)
     size = len(elements)
     if size > ORACLE_CAP:
@@ -330,7 +334,10 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
                 z = rng.standard_normal() + 1j * rng.standard_normal()
                 y[i] = z
                 y[inv[i]] = z.conjugate()
-        vals = np.linalg.eigvalsh(y[table].T)
+        # [j, i] = y(e_j^-1 e_i): the commuting operator's transpose, which
+        # is Hermitian too and has its eigenvalues
+        vals = eigh(y[table], eigvals_only=True, overwrite_a=True,
+                    driver="evd")
         tol = 1e-6 * max(1.0, float(np.abs(vals).max()))
         # a cluster ends where the next eigenvalue is more than tol above
         ends = np.flatnonzero(np.append(np.diff(vals) > tol, True))

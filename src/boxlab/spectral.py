@@ -312,10 +312,11 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f)
     volt = labels[:, arc_perm]
     # [c, i, s]: exponents[c, moves[i, s]] - exponents[c, s] - volt[c, i],
-    # formed in one array
-    readback = exponents[:, moves]
-    readback -= exponents[:, None]
-    readback -= volt[:, :, None]
+    # formed in one int16 array: it lies in (-2f, f), and f <= DENSE_LIMIT
+    narrow = exponents.astype(np.int16)
+    readback = narrow[:, moves]
+    readback -= narrow[:, None]
+    readback -= volt.astype(np.int16)[:, :, None]
     readback %= f
     if len(np.unique(volt, axis=0)) != f - 1 or len(volt) != f - 1 \
             or not volt.any(axis=1).all() or readback.any():
@@ -394,13 +395,20 @@ def _characters(perms: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.linalg import eigh
 
     c, d = np.random.default_rng(0).random((2, len(perms)))
-    # T = M + M^H with M = sum_j (c_j + i d_j) P_j, (P x)[s] = x[P[s]]
-    t = np.zeros((f, f), dtype=complex)
+    # T = M + M^H with M = sum_j (c_j + i d_j) P_j, (P x)[s] = x[P[s]],
+    # in Fortran order, so that LAPACK solves it in place
+    t = np.zeros((f, f), dtype=complex, order="F")
     np.add.at(t, (np.tile(np.arange(f), len(perms)), perms.ravel()),
               np.repeat(c + 1j * d, f))
-    _, u = eigh(t + t.conj().T)
-    quotients = np.array([np.einsum("sc,sc->c", u.conj(), u[p])
-                          for p in perms]).T
+    t += t.conj().T
+    _, u = eigh(t, overwrite_a=True)
+    del t       # overwritten; freed before the quotients and exponents
+    # [c, j]: u_c* P_j u_c, from 128 columns of u at a time
+    quotients = np.empty((f, len(perms)), dtype=complex)
+    for at in range(0, f, 128):
+        block = u[:, at:at + 128]
+        quotients[at:at + 128] = np.array(
+            [np.einsum("sc,sc->c", block.conj(), block[p]) for p in perms]).T
     labels = np.rint(np.angle(quotients) * f / (2 * np.pi)) % f
     labels = labels[labels.any(axis=1)].astype(np.int64)
     # sheet perms[j, s] is row s, column j of a generator table

@@ -12,7 +12,7 @@ import functools
 import math
 import time
 
-from . import psl
+from . import psl, reps
 from .freegroup import trivial_word_counts
 from .graphs import (cayley_graph, complete, complete_bipartite, cycle, fibers,
                      girth, homology_cover, is_automorphism, petersen,
@@ -279,7 +279,7 @@ def criterion_reps(seed: int = 0) -> dict:
         dims = table.dimensions()
         ok = sum(d * d * c for d, c in dims.items()) == group.order
         oracle = None
-        if group.order <= 1000:
+        if group.order <= reps.ORACLE_CAP:
             oracle = brute_force_irreps(group.elements, group.mul)
             ok = ok and oracle == dims
         rows.append({"q": q, "k": k, "n": n, "order": group.order,

@@ -226,9 +226,7 @@ def test_cover_girth_matches_all_roots(corpus_cover, name, m):
         value = girth(g)
         assert type(value) is int
         assert value == girth_brute(g) == girth_brute(flag_off(g))
-        # the array search pays a full BFS per root once the flag is cleared
-        if g.n <= 2000:
-            assert girth(flag_off(g)) == value
+        assert girth(flag_off(g)) == value
 
 
 def test_flagged_girth_runs_one_bfs(corpus_cover, monkeypatch):
@@ -246,6 +244,27 @@ def test_flagged_girth_runs_one_bfs(corpus_cover, monkeypatch):
         roots.clear()
         girth(graph)
         assert roots == [0], key
+
+
+def random_graph(rng, n, density):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 40, graphs.GIRTH_PAIRS])
+def test_unflagged_girth_matches_brute_in_every_batching(monkeypatch, pairs):
+    # batches of one root, of a few and of all; forests, disconnected
+    # graphs and the corpus covers of C6 and K4 included
+    monkeypatch.setattr(graphs, "GIRTH_PAIRS", pairs)
+    rng = random.Random(pairs)
+    cases = [random_graph(rng, rng.randrange(1, 30),
+                          rng.choice([0.05, 0.1, 0.2, 0.5]))
+             for _ in range(40)]
+    cases += [flag_off(homology_cover(base, m).graph)
+              for base in (cycle(6), complete(4)) for m in (2, 3)]
+    for g in cases:
+        assert not g.vertex_transitive
+        assert girth(g) == girth_brute(g)
 
 
 def test_cover_of_non_transitive_base_is_not_flagged():
@@ -301,6 +320,50 @@ def test_is_automorphism_matches_edge_set_check(corpus_cover, name):
     results = [is_automorphism(g, p) for p in perms]
     assert results == [is_automorphism_edge_set(g, p) for p in perms]
     assert results[:2] == [True, True]
+
+
+def is_automorphism_sorted(graph, perm):
+    """The retired rule: a bijection by sorting, then both arc key lists
+    sorted and compared."""
+    n = graph.n
+    p = np.asarray(perm, dtype=np.int64)
+    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
+        return False
+    src, dst = graph.arcs()
+    return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+def test_is_automorphism_matches_the_sorting_rule(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    g = cover.graph
+    rng = np.random.default_rng([len(name), m])
+    maps = []
+    for j in range(cover.rank):
+        shift = [0] * cover.rank
+        shift[j] = 1
+        maps.append(cover.deck_translate(shift))
+    maps.append(cover.deck_translate(rng.integers(0, m, cover.rank)))
+    maps += [rng.permutation(g.n) for _ in range(3)]
+    deck = maps[0]
+    maps += [np.r_[deck[:-1], deck[0]],             # a repeat
+             np.r_[deck[:-1], g.n],                 # out of range
+             np.r_[deck[:-1], -1],
+             deck[:-1], np.r_[deck, 0]]             # the wrong length
+    verdicts = [is_automorphism(g, p) for p in maps]
+    assert verdicts == [is_automorphism_sorted(g, p) for p in maps]
+    assert all(verdicts[:cover.rank + 1])
+    assert not any(verdicts[-5:])
+
+
+def test_is_automorphism_needs_ascending_rows():
+    g = cycle(5)
+    assert is_automorphism(g, [1, 2, 3, 4, 0])
+    rows = g.indices.reshape(5, 2)[:, ::-1].ravel()
+    unsorted = Graph(n=5, indptr=g.indptr, indices=rows)
+    with pytest.raises(ValueError, match="ascending"):
+        is_automorphism(unsorted, [1, 2, 3, 4, 0])
 
 
 # --- the retired edge-set Cayley build, kept as an oracle ---------------------

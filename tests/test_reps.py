@@ -1,5 +1,10 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +328,76 @@ def test_dimension_law_at_shifted_parameters():
     pi = induced_rep(g6, 1)
     assert dimension_by_level(g6, pi) == (0, 9)
     assert pi.dim == 9
+
+
+def test_oracle_solves_one_fortran_operator_in_place(monkeypatch):
+    # the |G|-square operator goes to LAPACK as it is built, to be
+    # overwritten there, not copied into another
+    import scipy.linalg
+
+    real_eigh = scipy.linalg.eigh
+    calls = []
+
+    def recording_eigh(a, **kwargs):
+        calls.append((a.shape, a.dtype, a.flags.f_contiguous,
+                      kwargs.get("overwrite_a"), kwargs.get("eigvals_only")))
+        return real_eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    g = borel_group(3, 1, 3)
+    assert brute_force_irreps(g.elements, g.mul) == {1: 27, 3: 6}
+    assert calls
+    for shape, dtype, fortran, overwrite, vals_only in calls:
+        assert shape == (81, 81) and dtype == np.complex128
+        assert fortran and overwrite is True and vals_only is True
+
+
+def test_oracle_peak_memory_is_one_operator():
+    # VmHWM over one oracle call at order 729 rises by less than 1.5
+    # operators of 16 * 729^2 bytes: a copy of the operator would add a
+    # second one
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    import boxlab
+
+    script = textwrap.dedent("""
+        import scipy.linalg
+        from boxlab.reps import borel_group, brute_force_irreps
+
+        def high_water():
+            with open("/proc/self/status") as fh:
+                line = next(x for x in fh if x.startswith("VmHWM"))
+            return int(line.split()[1]) * 1024
+
+        small = borel_group(3, 1, 3)
+        brute_force_irreps(small.elements, small.mul)
+        g = borel_group(3, 1, 4)
+        before = high_water()
+        assert brute_force_irreps(g.elements, g.mul) == {1: 81, 3: 18, 9: 6}
+        print(high_water() - before)
+        """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(boxlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) <= 1.5 * 16 * 729 ** 2
+
+
+def test_representation_audit_skips_the_oracle_above_its_cap(monkeypatch):
+    from boxlab import reps, suites
+
+    sizes = []
+
+    def recording_oracle(elements, mul):
+        sizes.append(len(elements))
+        return brute_force_irreps(elements, mul)
+
+    monkeypatch.setattr(reps, "ORACLE_CAP", 728)
+    monkeypatch.setattr(suites, "brute_force_irreps", recording_oracle)
+    result = suites.criterion_reps()
+    match = {(c["q"], c["k"], c["n"]): c["oracle_match"]
+             for c in result["details"]["cases"]}
+    assert match == {(3, 1, 2): True, (3, 1, 3): True, (3, 1, 4): None,
+                     (5, 1, 2): True, (5, 1, 3): True}
+    assert sorted(sizes) == [9, 25, 81, 625]
+    assert result["passed"]

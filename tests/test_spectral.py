@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,24 @@ def test_lift_on_nearly_degenerate_characters():
     expected = np.sort(2 - 2 * np.cos(2 * np.pi * j[j % 1000 != 0] / 4000))
     assert np.abs(np.subtract(deco.relative.values, expected)).max() <= 1e-9
     assert abs(deco.epsilon - expected[0]) <= 1e-9
+
+
+def test_lift_memory_on_a_thousand_sheets():
+    # C4000 over C4, f = 1000: the read-back holds 999 x 8 x 1000 int16
+    # entries, 16 MB, and the characters' f-square operator is solved in
+    # place; an int64 read-back alone would be 64 MB
+    import scipy.linalg  # noqa: F401  (imported before tracing starts)
+
+    g, h = cycle(4000), cycle(4)
+    fiber_map = np.arange(4000) % 4
+    tracemalloc.start()
+    try:
+        deco = lift_decomposition(g, h, fiber_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deco.exponents.dtype == np.int64
+    assert peak <= 35e6
 
 
 @pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 2), ("K4", 3),

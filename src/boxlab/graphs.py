@@ -401,29 +401,19 @@ GIRTH_PAIRS = 1 << 20   # (root, vertex) depths held by one girth batch
 
 
 def girth(graph: Graph) -> float:
-    """Length of the shortest cycle, math.inf for forests.
-
-    Every vertex of a vertex-transitive graph lies on a shortest cycle, so a
-    flagged graph is searched by one BFS from vertex 0: an arc (u, v),
-    neither end the tree parent of the other, closes a cycle through that
-    non-tree edge of length at most depth[u] + depth[v] + 1, with equality
-    from a root on a shortest cycle.  Any other graph is searched from every
-    root by ``_shortest_cycle_from``, a batch of roots at a time."""
-    if not graph.vertex_transitive:
-        best = math.inf
-        batch = max(1, GIRTH_PAIRS // max(graph.n, 1))
-        for first in range(0, graph.n, batch):
-            best = _shortest_cycle_from(
-                graph, np.arange(first, min(first + batch, graph.n)), best)
-            if best == 3:
-                break
-        return best
-    _, parent, _, depth = bfs_tree(graph.indptr, graph.indices, 0)
-    src, dst = graph.arcs()
-    closing = (depth[src] >= 0) & (parent[src] != dst) & (parent[dst] != src)
-    if not closing.any():
-        return math.inf
-    return int((depth[src] + depth[dst])[closing].min()) + 1
+    """Length of the shortest cycle, math.inf for forests: the shortest
+    cycle through any root, found by ``_shortest_cycle_from`` a batch of
+    roots at a time.  Every vertex of a vertex-transitive graph lies on a
+    shortest cycle, so a flagged graph is searched from vertex 0 alone."""
+    roots = min(graph.n, 1) if graph.vertex_transitive else graph.n
+    batch = max(1, GIRTH_PAIRS // max(graph.n, 1))
+    best = math.inf
+    for first in range(0, roots, batch):
+        best = _shortest_cycle_from(
+            graph, np.arange(first, min(first + batch, roots)), best)
+        if best == 3:
+            break
+    return best
 
 
 def _shortest_cycle_from(graph: Graph, roots: np.ndarray, best) -> float:
@@ -590,22 +580,11 @@ def verify_covering(cover: CoverGraph) -> bool:
 
 
 def is_automorphism(graph: Graph, perm: Sequence[int]) -> bool:
-    """Whether perm is a permutation of range(n) mapping edges onto edges;
-    ValueError if the graph's rows are not strictly ascending, since its
-    arc keys src * n + dst are then read as sorted without sorting them."""
+    """Whether perm is a permutation of range(n) mapping edges onto edges."""
     n = graph.n
     p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (n,) or n and (p.min() < 0 or p.max() >= n
-                                 or np.bincount(p).max() > 1):
+    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         return False
-    # the keys of the arcs u -> v and of their images, row by row
-    degrees = graph.degrees()
-    keys = np.repeat(np.arange(n) * n, degrees)
-    keys += graph.indices
-    if (keys[1:] <= keys[:-1]).any():
-        raise ValueError("the graph's rows are not strictly ascending")
-    # a bijection maps the arcs injectively, so they must sort equal
-    image = np.repeat(p * n, degrees)
-    image += p[graph.indices]
-    image.sort()
-    return np.array_equal(image, keys)
+    # a bijection maps the arcs u -> v injectively, so they must sort equal
+    src, dst = graph.arcs()
+    return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))

@@ -312,11 +312,11 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f)
     volt = labels[:, arc_perm]
     # [c, i, s]: exponents[c, moves[i, s]] - exponents[c, s] - volt[c, i],
-    # formed in one int16 array: it lies in (-2f, f), and f <= DENSE_LIMIT
-    narrow = exponents.astype(np.int16)
+    # formed in one array of the narrowest signed type that holds (-2f, f)
+    narrow = exponents.astype(np.min_scalar_type(-2 * f))
     readback = narrow[:, moves]
     readback -= narrow[:, None]
-    readback -= volt.astype(np.int16)[:, :, None]
+    readback -= volt.astype(narrow.dtype)[:, :, None]
     readback %= f
     if len(np.unique(volt, axis=0)) != f - 1 or len(volt) != f - 1 \
             or not volt.any(axis=1).all() or readback.any():

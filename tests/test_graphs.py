@@ -230,20 +230,20 @@ def test_cover_girth_matches_all_roots(corpus_cover, name, m):
 
 
 def test_flagged_girth_runs_one_bfs(corpus_cover, monkeypatch):
-    roots = []
+    searches = []
+    search = graphs._shortest_cycle_from
 
-    def counting_bfs_tree(indptr, indices, root):
-        roots.append(root)
-        return bfs_tree(indptr, indices, root)
+    def counting_search(graph, roots, best):
+        searches.append(roots.tolist())
+        return search(graph, roots, best)
 
-    # built first: a cover's own build runs a BFS too
-    covers = {(name, m): corpus_cover(name, m).graph
-              for name in CORPUS for m in (2, 3)}
-    monkeypatch.setattr(graphs, "bfs_tree", counting_bfs_tree)
-    for key, graph in covers.items():
-        roots.clear()
-        girth(graph)
-        assert roots == [0], key
+    monkeypatch.setattr(graphs, "_shortest_cycle_from", counting_search)
+    for name in CORPUS:
+        for m in (2, 3):
+            graph = corpus_cover(name, m).graph
+            searches.clear()
+            girth(graph)
+            assert searches == [[0]], (name, m)
 
 
 def random_graph(rng, n, density):
@@ -320,50 +320,6 @@ def test_is_automorphism_matches_edge_set_check(corpus_cover, name):
     results = [is_automorphism(g, p) for p in perms]
     assert results == [is_automorphism_edge_set(g, p) for p in perms]
     assert results[:2] == [True, True]
-
-
-def is_automorphism_sorted(graph, perm):
-    """The retired rule: a bijection by sorting, then both arc key lists
-    sorted and compared."""
-    n = graph.n
-    p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        return False
-    src, dst = graph.arcs()
-    return np.array_equal(np.sort(p[src] * n + p[dst]), np.sort(src * n + dst))
-
-
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("name", CORPUS)
-def test_is_automorphism_matches_the_sorting_rule(corpus_cover, name, m):
-    cover = corpus_cover(name, m)
-    g = cover.graph
-    rng = np.random.default_rng([len(name), m])
-    maps = []
-    for j in range(cover.rank):
-        shift = [0] * cover.rank
-        shift[j] = 1
-        maps.append(cover.deck_translate(shift))
-    maps.append(cover.deck_translate(rng.integers(0, m, cover.rank)))
-    maps += [rng.permutation(g.n) for _ in range(3)]
-    deck = maps[0]
-    maps += [np.r_[deck[:-1], deck[0]],             # a repeat
-             np.r_[deck[:-1], g.n],                 # out of range
-             np.r_[deck[:-1], -1],
-             deck[:-1], np.r_[deck, 0]]             # the wrong length
-    verdicts = [is_automorphism(g, p) for p in maps]
-    assert verdicts == [is_automorphism_sorted(g, p) for p in maps]
-    assert all(verdicts[:cover.rank + 1])
-    assert not any(verdicts[-5:])
-
-
-def test_is_automorphism_needs_ascending_rows():
-    g = cycle(5)
-    assert is_automorphism(g, [1, 2, 3, 4, 0])
-    rows = g.indices.reshape(5, 2)[:, ::-1].ravel()
-    unsorted = Graph(n=5, indptr=g.indptr, indices=rows)
-    with pytest.raises(ValueError, match="ascending"):
-        is_automorphism(unsorted, [1, 2, 3, 4, 0])
 
 
 # --- the retired edge-set Cayley build, kept as an oracle ---------------------

@@ -493,7 +493,8 @@ def test_lift_on_nearly_degenerate_characters():
 def test_lift_memory_on_a_thousand_sheets():
     # C4000 over C4, f = 1000: the read-back holds 999 x 8 x 1000 int16
     # entries, 16 MB, and the characters' f-square operator is solved in
-    # place; an int64 read-back alone would be 64 MB
+    # place; an int64 read-back alone would be 64 MB.  The peak read 33.3 MB
+    # on numpy 2.4.6 and scipy 1.17.1, 70.7 MB with an int64 read-back
     import scipy.linalg  # noqa: F401  (imported before tracing starts)
 
     g, h = cycle(4000), cycle(4)
@@ -505,7 +506,7 @@ def test_lift_memory_on_a_thousand_sheets():
     finally:
         tracemalloc.stop()
     assert deco.exponents.dtype == np.int64
-    assert peak <= 35e6
+    assert peak <= 45e6
 
 
 @pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 2), ("K4", 3),

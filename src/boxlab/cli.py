@@ -2,8 +2,9 @@
 verification pipeline.
 
 Reports are JSON (schema version 1) and byte-identical for identical
-(config, seed) pairs; wall-clock timings and per-criterion high-water marks
-are only included on request since they would break that reproducibility.
+(config, seed) pairs; wall-clock and CPU timings and per-criterion
+high-water marks are only included on request since they would break that
+reproducibility.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def cmd_pipeline(args) -> int:
         print("boxlab pipeline: --csv-dir needs --suite spectra", file=sys.stderr)
         return 2
     start = time.monotonic()
-    criteria: dict[str, tuple[float, float]] = {}
+    criteria: dict[str, tuple[float, float, float]] = {}
     results = run_suite(args.suite, seed=args.seed, timings=criteria)
     elapsed = time.monotonic() - start
     csv_files = None
@@ -85,9 +86,11 @@ def cmd_pipeline(args) -> int:
     if args.timings:
         report["timings"] = {
             "total_seconds": round(elapsed, 3),
-            "criteria": {k: round(t, 3) for k, (t, _) in criteria.items()},
+            "criteria": {k: round(t, 3) for k, (t, _, _) in criteria.items()},
+            "cpu_seconds": {k: round(cpu, 3)
+                            for k, (_, cpu, _) in criteria.items()},
             "peak_rss_mb": {k: round(mb, 1)
-                            for k, (_, mb) in criteria.items()}}
+                            for k, (_, _, mb) in criteria.items()}}
     _write_report(report, args.out)
     if not report["pass"]:
         failing = [r["name"] for r in results if not r["passed"]]
@@ -117,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run a verification bundle")
     pipe.add_argument("--suite", required=True, choices=sorted(SUITES))
     pipe.add_argument("--timings", action="store_true",
-                      help="include wall-clock timings and per-criterion "
-                           "peak RSS in the report")
+                      help="include wall-clock and CPU timings and "
+                           "per-criterion peak RSS in the report")
     pipe.add_argument("--csv-dir", default=None,
                       help="export eigenvalue CSVs here; --suite spectra only")
     pipe.set_defaults(fn=cmd_pipeline)
@@ -127,6 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a report is written only at the end, so a missing directory is caught
+    # before any work is done
+    directory = args.out and os.path.dirname(os.path.abspath(args.out))
+    if directory and not os.path.isdir(directory):
+        print(f"boxlab {args.command}: --out directory does not exist: "
+              f"{directory}", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

@@ -225,7 +225,13 @@ class CharacterTable:
 
 def irrep_inventory(group: BorelGroup) -> CharacterTable:
     """Full inventory with completeness and orthonormality audits; failure of
-    either is a construction bug and raises."""
+    either is a construction bug and raises.
+
+    The Gram matrix comes from scipy's zherk, the BLAS that the oracle's eigh
+    runs on: numpy bundles a second OpenBLAS, whose thread pool would contend
+    with scipy's for the cores."""
+    from scipy.linalg.blas import zherk
+
     irreps = tuple(_inventory(group))
     total = sum(r.dim ** 2 for r in irreps)
     if total != group.order:
@@ -233,8 +239,11 @@ def irrep_inventory(group: BorelGroup) -> CharacterTable:
             f"completeness failure: sum of squared dimensions {total} != "
             f"group order {group.order}")
     chars = np.array([r.characters(group.elements) for r in irreps])
-    gram = chars @ chars.conj().T / group.order
-    defect = float(np.abs(gram - np.eye(len(irreps))).max())
+    # chars.T is the table's own F-ordered view; zherk fills only the upper
+    # triangle, of conj(chars @ chars^H), whose moduli are the Gram's
+    gram = np.triu(zherk(1.0, chars.T, trans=2)) / group.order
+    gram[np.diag_indices_from(gram)] -= 1
+    defect = float(np.abs(gram).max())
     if defect > 1e-9:
         raise RuntimeError(f"character orthonormality defect {defect}")
     return CharacterTable(group=group, irreps=irreps, char_matrix=chars,

@@ -416,8 +416,9 @@ SUITES = {
 
 def run_suite(name: str, seed: int, timings: dict) -> list[dict]:
     """Run every criterion of a suite.  A crash becomes a failed result
-    carrying the error and the seed.  Each result's wall seconds, and the
-    process's high-water mark in MB once it is done (``ru_maxrss``, which
+    carrying the error and the seed.  Each result's wall seconds, its CPU
+    seconds (the user plus system time of every thread of the process), and
+    the process's high-water mark in MB once it is done (``ru_maxrss``, which
     Linux gives in KiB), are stored in ``timings`` under its name."""
     import resource     # loaded only by a run that reads it
 
@@ -426,13 +427,16 @@ def run_suite(name: str, seed: int, timings: dict) -> list[dict]:
     results = []
     for fn in SUITES[name]:
         start = time.perf_counter()
+        before = resource.getrusage(resource.RUSAGE_SELF)
         try:
             results.append(fn(seed))
         except Exception as exc:       # a crash is a failed criterion
             results.append({"criterion": None, "name": fn.__name__,
                             "passed": False,
                             "details": {"error": repr(exc), "seed": seed}})
+        after = resource.getrusage(resource.RUSAGE_SELF)
         timings[results[-1]["name"]] = (
             time.perf_counter() - start,
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+            after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime,
+            after.ru_maxrss / 1024)
     return results

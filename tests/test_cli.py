@@ -126,6 +126,28 @@ def test_cli_csv_dir_needs_spectra_suite(tmp_path, capsys):
     assert not out.exists() and not csv_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [["feasibility"],
+                                  ["pipeline", "--suite", "hensel"]])
+def test_cli_out_into_a_missing_directory(tmp_path, monkeypatch, capsys,
+                                          argv):
+    # the directory is checked before any work: the suite never starts, and
+    # the error is one line rather than a traceback once the suite has run
+    import boxlab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "min_feasible_level", never)
+    missing = tmp_path / "missing"
+    assert main(argv + ["--out", str(missing / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"boxlab {argv[0]}: --out directory does not "
+                            f"exist: {missing}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_removed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--suite", "hensel", "--mode", "extreme"])
@@ -145,10 +167,43 @@ def test_cli_timings_per_criterion(tmp_path, monkeypatch):
     report = json.loads(Path(timed).read_text())
     timings = report.pop("timings")
     assert report == json.loads(Path(plain).read_text())
-    assert set(timings) == {"total_seconds", "criteria", "peak_rss_mb"}
-    assert sorted(timings["criteria"]) == \
-        sorted(r["name"] for r in report["results"])
-    assert all(isinstance(t, float) for t in timings["criteria"].values())
+    assert set(timings) == {"total_seconds", "criteria", "cpu_seconds",
+                            "peak_rss_mb"}
+    names = sorted(r["name"] for r in report["results"])
+    for key in ("criteria", "cpu_seconds"):
+        assert sorted(timings[key]) == names
+        assert all(isinstance(t, float) and t >= 0
+                   for t in timings[key].values())
+
+
+def test_cli_timings_cpu_seconds_cover_every_thread(tmp_path, monkeypatch):
+    # the CPU seconds of a criterion are the process's user plus system time
+    # over it, so a second thread's work counts as the main thread's does
+    import threading
+    import time
+
+    import boxlab.suites as suites
+
+    def spin(seconds):
+        end = time.thread_time() + seconds
+        while time.thread_time() < end:
+            pass
+
+    def two_threads(seed: int = 0):
+        worker = threading.Thread(target=spin, args=(0.2,))
+        worker.start()
+        spin(0.2)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        return {"criterion": 99, "name": "two-threads", "passed": True,
+                "details": {}}
+
+    monkeypatch.setitem(suites.SUITES, "spectra", (two_threads,))
+    out = str(tmp_path / "timed.json")
+    assert main(["pipeline", "--suite", "spectra", "--timings",
+                 "--out", out]) == 0
+    timings = json.loads(Path(out).read_text())["timings"]
+    assert timings["cpu_seconds"]["two-threads"] >= 0.4
 
 
 def test_cli_timings_report_peak_rss_per_criterion(tmp_path, monkeypatch):

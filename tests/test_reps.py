@@ -401,3 +401,59 @@ def test_representation_audit_skips_the_oracle_above_its_cap(monkeypatch):
                      (5, 1, 2): True, (5, 1, 3): True}
     assert sorted(sizes) == [9, 25, 81, 625]
     assert result["passed"]
+
+
+BOREL_CASES = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3)]
+
+
+def test_gram_product_runs_on_the_character_matrix_itself(monkeypatch):
+    # the Gram product goes to scipy's BLAS, the one the oracle's eigh runs
+    # on, as the table's own F-ordered view: nothing is copied first
+    import scipy.linalg.blas
+
+    real_zherk = scipy.linalg.blas.zherk
+    seen = []
+
+    def recording_zherk(alpha, a, **kwargs):
+        seen.append(a)
+        return real_zherk(alpha, a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "zherk", recording_zherk)
+    table = irrep_inventory(borel_group(3, 1, 3))
+    [a] = seen
+    assert a.dtype == np.complex128 and a.flags.f_contiguous
+    assert a.shape == (81, 33)
+    assert np.shares_memory(a, table.char_matrix)
+
+
+@pytest.mark.parametrize("q, k, n", BOREL_CASES)
+def test_gram_defect_is_the_full_product_formula(q, k, n):
+    group = borel_group(q, k, n)
+    table = irrep_inventory(group)
+    chars = table.char_matrix
+    expected = np.abs(chars @ chars.conj().T / group.order
+                      - np.eye(len(chars))).max()
+    assert table.gram_defect == expected
+
+
+def test_orthonormality_audit_catches_a_repeated_irrep(monkeypatch):
+    # one irrep replaced by another of the same dimension keeps the squared
+    # dimensions summing to the order, so only the Gram matrix can see it;
+    # the repeat's inner product 1 sits in one triangle only
+    from boxlab import reps
+
+    real_inventory = reps._inventory
+
+    def repeated(group):
+        irreps = real_inventory(group)
+        if group.n == 3:
+            first = next(i for i, r in enumerate(irreps) if r.dim == 3)
+            later = next(i for i, r in enumerate(irreps)
+                         if r.dim == 3 and i > first)
+            irreps[later] = irreps[first]
+        return irreps
+
+    monkeypatch.setattr(reps, "_inventory", repeated)
+    with pytest.raises(RuntimeError,
+                       match="^character orthonormality defect "):
+        irrep_inventory(borel_group(3, 1, 3))

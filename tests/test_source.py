@@ -216,3 +216,32 @@ def test_sparse_matrices_are_built_only_by_graph():
                 found.append(f"{path.name}:{call.lineno}")
     assert not found, f"scipy sparse matrices built outside Graph: {found}"
     assert inside == 1      # the check sees Graph's own construction
+
+
+# numpy entry points that run on numpy's own BLAS or LAPACK
+NUMPY_BLAS = {"dot", "matmul", "vdot", "inner", "tensordot"}
+
+
+def test_reps_calls_no_numpy_blas_or_lapack():
+    # the oracle's eigh runs on scipy's OpenBLAS; a product or solve on
+    # numpy's, which bundles its own, would start a second thread pool that
+    # contends with scipy's for the cores
+    path = ROOT / "src" / "boxlab" / "reps.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.append(f"reps.py:{node.lineno} @")
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "dot"          # ndarray.dot too
+                or ast.unparse(node.value) == "np"
+                and node.attr in NUMPY_BLAS | {"linalg"}):
+            found.append(f"reps.py:{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            found += [f"reps.py:{node.lineno} import {name}" for name in names
+                      if name.startswith("numpy.linalg")
+                      or name in {f"numpy.{f}" for f in NUMPY_BLAS}]
+    assert not found, f"numpy BLAS or LAPACK calls in reps.py: {found}"

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import psl
 from .errors import ResourceLimitError
-from .graphs import bfs_tree, filled_table, inverse_permutations
+from .graphs import (bfs_tree, filled_table, inverse_permutations,
+                     voltage_tree)
 from .quaternion import quaternion_generators
 from .zmod import LpsParams
 
@@ -27,19 +28,19 @@ MAX_RADIUS = 12  # largest word length trivial_word_counts accepts
 # --- Schreier data for a finite quotient ----------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SchreierData:
-    """Coset table of a finite quotient of the free group, with a
-    breadth-first prefix-closed transversal and indexed non-tree edges.
-
-    The non-tree edges are free generators of the kernel; their number is
-    1 + 2 * (number of cosets).
-    """
+    """Coset table of a finite quotient of the free group, on the layout of
+    ``graphs.voltage_tree``: coset c times letter l is coset table[c, l],
+    the cosets are numbered breadth first from the identity, coset 0, along
+    the tree parent/via, and voltage numbers the free generators of the
+    kernel, rank = 1 + 2 * n_cosets of them."""
 
     n_cosets: int
-    table: list[list[int]]                      # coset x letter -> coset
-    transversal: list[tuple[int, ...]]          # shortest word per coset
-    sgen_of: dict[tuple[int, int], tuple[int, int]]  # (coset, letter) -> (index, sign)
+    table: np.ndarray       # int64 (n_cosets, 6)
+    parent: np.ndarray      # int64 per coset, 0 at the root
+    via: np.ndarray         # int64 letter per coset, -1 at the root
+    voltage: np.ndarray     # int64 (n_cosets, 6)
     rank: int
 
 
@@ -59,57 +60,19 @@ def schreier_build(elements: Sequence, mul: Callable, identity,
     letters[:, 1::2] = inverse_permutations(images)
 
     # BFS from the identity with letter priority; discovery order numbers cosets
-    order, parent, via, _ = bfs_tree(np.arange(n + 1) * N_LETTERS,
-                                     letters.ravel(), ident)
+    indptr = np.arange(n + 1) * N_LETTERS
+    order = bfs_tree(indptr, letters.ravel(), ident)[0]
     if len(order) < n:
         raise ValueError(
             f"generator images generate a proper subgroup of order "
             f"{len(order)} < {n}")
-    coset_of = np.argsort(order)
-    table = coset_of[letters[order]].tolist()
-    parent_coset = coset_of[parent[order]].tolist()
-    via_letter = via[order].tolist()
-
-    transversal: list[tuple[int, ...]] = [()] * n
-    tree = set()
-    for c in range(1, n):
-        pc, pl = parent_coset[c], via_letter[c]
-        transversal[c] = transversal[pc] + (pl,)
-        tree.add((pc, pl))
-        tree.add((c, pl ^ 1))
-
-    sgen_of: dict[tuple[int, int], tuple[int, int]] = {}
-    rank = 0
-    for c in range(n):
-        for l in range(N_LETTERS):
-            if (c, l) in tree or (c, l) in sgen_of:
-                continue
-            target = table[c][l]
-            sgen_of[(c, l)] = (rank, 1)
-            sgen_of[(target, l ^ 1)] = (rank, -1)
-            rank += 1
-    if rank != 2 * n + 1:
-        raise RuntimeError(f"{rank} Schreier generators, expected {2 * n + 1}")
-    return SchreierData(n_cosets=n, table=table, transversal=transversal,
-                        sgen_of=sgen_of, rank=rank)
-
-
-def _scan(word: Sequence[int], sd: SchreierData, q: int, start: int,
-          vec: dict[int, int]) -> int:
-    """Walk word through the coset table accumulating signed non-tree-edge
-    crossings mod q; returns the final coset."""
-    c = start
-    for l in word:
-        hit = sd.sgen_of.get((c, l))
-        if hit is not None:
-            idx, sign = hit
-            v = (vec.get(idx, 0) + sign) % q
-            if v:
-                vec[idx] = v
-            else:
-                vec.pop(idx, None)
-        c = sd.table[c][l]
-    return c
+    table = np.argsort(order)[letters[order]]
+    # the reverse of arc (c, l) is (table[c, l], l ^ 1)
+    partner = table * N_LETTERS + (np.arange(N_LETTERS) ^ 1)
+    parent, via, voltage, rank = voltage_tree(indptr, table.ravel(),
+                                              partner.ravel())
+    return SchreierData(n_cosets=n, table=table, parent=parent, via=via,
+                        voltage=voltage.reshape(n, N_LETTERS), rank=rank)
 
 
 # --- the combined congruence / homology quotient ---------------------------
@@ -156,8 +119,9 @@ def trivial_word_counts(n: int, k: int | None, m: int, q: int,
     exactly when u and v end in different letters, and trivial exactly when
     u and v have the same value.  So counts[d] comes from the reduced words
     of length <= ceil(m/2), tallied by value and by (value, last letter)."""
-    if m < 0 or n < 0:
-        raise ValueError(f"need m >= 0 and n >= 0, got m={m}, n={n}")
+    if m < 0 or n < 0 or (k is not None and k < 1):
+        raise ValueError(f"need m >= 0, n >= 0 and k >= 1 or None, got "
+                         f"m={m}, n={n}, k={k}")
     if m > MAX_RADIUS:
         raise ResourceLimitError(f"ball radius {m} exceeds cap {MAX_RADIUS}")
     use_mat = n >= 1
@@ -184,9 +148,15 @@ def trivial_word_counts(n: int, k: int | None, m: int, q: int,
                 if l ^ 1 == last:
                     continue
                 mat_l = psl.mat_mul(mat, mats[l], modulus, q) if mats else None
-                vec_l = dict(vec)
-                coset_l = _scan((l,), sd, q, coset, vec_l) if sd else coset
-                value = (mat_l, coset_l, frozenset(vec_l.items()))
+                coset_l, vec_l = coset, vec
+                if sd is not None:
+                    coset_l = int(sd.table[coset, l])
+                    v = int(sd.voltage[coset, l])
+                    if v >= 0:      # +1 on arc 2j, -1 on its reverse
+                        j, tally = v >> 1, dict(vec)
+                        tally[j] = (tally.get(j, 0) + 1 - 2 * (v & 1)) % q
+                        vec_l = frozenset(kv for kv in tally.items() if kv[1])
+                value = (mat_l, coset_l, vec_l)
                 level[(value, l)] += count
                 values[value] += count
         by_last.append(level)

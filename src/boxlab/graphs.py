@@ -1,5 +1,5 @@
 """Finite simple graphs as CSR arrays: Cayley graphs, girth, and homology
-covers built from a spanning tree.
+covers built from a voltage tree.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def filled_table(elements: Sequence[Hashable], mul: Callable,
                  gens: Sequence[Hashable], identity) -> tuple[int, np.ndarray]:
     """The index of identity among the elements and generator_table's
     table, taken from elements.right_table(gens) when the sequence has one
-    (``psl.Elements``), else from generator_table.  On the row path the
+    (``psl.Elements``), else from generator_table; ValueError on either
+    path if identity is not among the elements.  On the row path the
     duplicate check and the identity's index come from the row keys, and no
     element index is built.
 
@@ -194,6 +195,8 @@ def filled_table(elements: Sequence[Hashable], mul: Callable,
     right_table = getattr(elements, "right_table", None)
     if right_table is None:
         index, table = generator_table(elements, mul, gens)
+        if identity not in index:   # the message of Elements.position
+            raise ValueError(f"{identity!r} is not in the sequence")
         return index[identity], table
     table = right_table(gens)
     rows = np.arange(len(elements) - 1, -1, -SPOT_STRIDE)
@@ -452,35 +455,34 @@ def _shortest_cycle_from(graph: Graph, roots: np.ndarray, best) -> float:
     return best
 
 
-# --- spanning trees and homology covers ------------------------------------
+# --- voltage trees and homology covers --------------------------------------
 
 COVER_CAP = 500_000     # vertices of the largest homology cover built
 
 
-@dataclass(frozen=True, eq=False)
-class SpanningTreeData:
-    tree_edges: np.ndarray       # (n - 1, 2) int64, u < v, lexicographic
-    non_tree_edges: np.ndarray   # (rank, 2) int64; row j is edge index j
-    rank: int
-
-
-def spanning_tree(graph: Graph) -> SpanningTreeData:
-    """BFS spanning tree from vertex 0 over sorted adjacency; non-tree edges
-    indexed in lexicographic order."""
-    order, parent, _, _ = bfs_tree(graph.indptr, graph.indices, 0)
-    if len(order) < graph.n:
+def voltage_tree(indptr: np.ndarray, indices: np.ndarray, partner: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``bfs_tree``'s parent and via from vertex 0, an int64 voltage per arc
+    and the rank, for a CSR multigraph whose arc a reverses arc partner[a]:
+    -1 on tree arcs, 2j on the first arc in arc order of non-tree edge j (a
+    free generator of the fundamental group) and 2j + 1 on its reverse.
+    ValueError unless the graph has vertices and is connected."""
+    n = len(indptr) - 1
+    if n < 1:
+        raise ValueError("a graph with no vertices has no spanning tree")
+    order, parent, via, _ = bfs_tree(indptr, indices, 0)
+    if len(order) < n:
         raise ValueError("graph must be connected")
-    src, dst = graph.arcs()
-    edges = np.stack([src, dst], axis=1)[src < dst]      # lexicographic
-    in_tree = (parent[edges[:, 1]] == edges[:, 0]) \
-        | (parent[edges[:, 0]] == edges[:, 1])
-    non_tree = edges[~in_tree]
-    rank = graph.num_edges - graph.n + 1
-    if len(non_tree) != rank:
-        raise RuntimeError(
-            f"{len(non_tree)} non-tree edges, expected rank {rank}")
-    return SpanningTreeData(tree_edges=edges[in_tree], non_tree_edges=non_tree,
-                            rank=rank)
+    tree = indptr[parent[order[1:]]] + via[order[1:]]
+    voltage = np.zeros(len(indices), dtype=np.int64)
+    voltage[tree] = voltage[partner[tree]] = -1
+    first = np.flatnonzero((voltage == 0) & (np.arange(len(indices)) < partner))
+    rank = len(indices) // 2 - n + 1
+    if len(first) != rank:
+        raise RuntimeError(f"{len(first)} non-tree edges, expected rank {rank}")
+    voltage[first] = 2 * np.arange(rank)
+    voltage[partner[first]] = voltage[first] + 1
+    return parent, via, voltage, rank
 
 
 @dataclass(eq=False)
@@ -490,24 +492,28 @@ class CoverGraph:
     projection: np.ndarray       # int64 base vertex of each cover vertex
     m: int
     rank: int
-    tree: SpanningTreeData
+    voltage: np.ndarray          # int64 per base arc, from ``voltage_tree``
 
     def deck_translate(self, shift: Sequence[int]) -> np.ndarray:
         """int64 vertex permutation translating the Z_m^r coordinate by
-        shift."""
+        shift; ValueError unless shift has r integer coordinates."""
         m, r = self.m, self.rank
         if len(shift) != r:
             raise ValueError(f"shift has {len(shift)} coordinates, rank is {r}")
+        steps = np.asarray(shift, dtype=np.int64)
+        if not np.array_equal(steps, shift):
+            raise ValueError(f"shift {list(shift)!r} is not integer")
         weights = m ** np.arange(r, dtype=np.int64)
         digits = np.arange(m ** r, dtype=np.int64)[:, None] // weights % m
-        shifted = ((digits + np.asarray(shift, dtype=np.int64)) % m) @ weights
+        shifted = ((digits + steps) % m) @ weights
         n = self.base.n
         return (shifted[:, None] * n + np.arange(n)).ravel()
 
 
 def homology_cover(graph: Graph, m: int) -> CoverGraph:
-    """The m-fold homology cover: one copy of the spanning tree per element
-    of Z_m^r, non-tree edge j connecting block a to block a + unit_j;
+    """The m-fold homology cover: one copy of the base per element a of
+    Z_m^r, the first arc u -> v of each base edge joining u in block a to v
+    in block a, or in block a + unit_j when its voltage is 2j;
     ResourceLimitError above COVER_CAP vertices.
 
     The cover belongs to the characteristic subgroup pi1^m [pi1, pi1], so
@@ -515,28 +521,31 @@ def homology_cover(graph: Graph, m: int) -> CoverGraph:
     on fibers the cover is vertex-transitive whenever the base is."""
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    tree = spanning_tree(graph)
-    r = tree.rank
+    n = graph.n
+    src, dst = graph.arcs()
+    # the reverse of u -> v is v -> u, found in the ascending arc keys
+    partner = np.searchsorted(src * n + dst, dst * n + src)
+    voltage, r = voltage_tree(graph.indptr, graph.indices, partner)[2:]
     n_blocks = m ** r
-    total = n_blocks * graph.n
+    total = n_blocks * n
     if total > COVER_CAP:
         raise ResourceLimitError(
             f"cover would have {total} > {COVER_CAP} vertices")
-    n = graph.n
     block = np.arange(n_blocks)[:, None]
     weights = m ** np.arange(r)
     digit = block // weights % m
-    target = block + ((digit + 1) % m - digit) * weights
-    non_tree = tree.non_tree_edges
-    edges = np.concatenate([
-        (block[:, :, None] * n + tree.tree_edges).reshape(-1, 2),
-        np.stack([block * n + non_tree[:, 0], target * n + non_tree[:, 1]],
-                 axis=-1).reshape(-1, 2)])
-    cover = Graph.from_edges(total, edges,
+    # column j steps block a to a + unit_j; column r, for tree arcs, is 0
+    step = np.zeros((n_blocks, r + 1), dtype=np.int64)
+    step[:, :r] = ((digit + 1) % m - digit) * weights
+    first = np.flatnonzero(src < dst)
+    edges = np.stack([block * n + src[first],
+                      (block + step[:, voltage[first] // 2]) * n + dst[first]],
+                     axis=-1)
+    cover = Graph.from_edges(total, edges.reshape(-1, 2),
                              vertex_transitive=graph.vertex_transitive)
     return CoverGraph(graph=cover, base=graph,
                       projection=np.tile(np.arange(n), n_blocks), m=m,
-                      rank=r, tree=tree)
+                      rank=r, voltage=voltage)
 
 
 def fibers(projection, base_n: int) -> np.ndarray:

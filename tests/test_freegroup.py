@@ -1,11 +1,12 @@
 import random
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from boxlab import psl
 from boxlab.errors import ResourceLimitError
-from boxlab.freegroup import (N_LETTERS, FiberContext, SchreierData, _scan,
+from boxlab.freegroup import (N_LETTERS, FiberContext, SchreierData,
                               schreier_build, trivial_word_counts)
 from boxlab.quaternion import loop_count_quat
 from boxlab.spectral import nb_trace
@@ -32,14 +33,40 @@ def word_inverse(word):
     return tuple(l ^ 1 for l in reversed(word))
 
 
+def transversal_word(sd, c):
+    """The shortest word of coset c, read up its tree path."""
+    word = []
+    while c:
+        word.append(int(sd.via[c]))
+        c = sd.parent[c]
+    return tuple(reversed(word))
+
+
 def coset_mul(sd, c1, c2):
     """The coset of c1 times c2, walked along c2's transversal word."""
-    for l in sd.transversal[c2]:
+    for l in transversal_word(sd, c2):
         c1 = sd.table[c1][l]
     return c1
 
 
-# --- the homology quotient map, word by word, kept as an oracle for _scan ----
+def scan(word, sd, q, start, vec):
+    """Walk word through the coset table accumulating signed non-tree-arc
+    crossings mod q in vec; returns the final coset."""
+    c = start
+    for l in word:
+        v = int(sd.voltage[c, l])
+        if v >= 0:
+            idx, sign = divmod(v, 2)
+            x = (vec.get(idx, 0) + (-1 if sign else 1)) % q
+            if x:
+                vec[idx] = x
+            else:
+                vec.pop(idx, None)
+        c = int(sd.table[c, l])
+    return c
+
+
+# --- the homology quotient map, word by word, kept as an oracle ---------------
 
 
 @dataclass
@@ -59,7 +86,7 @@ class HomologyElement:
 
     def __mul__(self, other):
         vec = dict(self.vector)
-        coset = _scan(other.word, self.sd, self.q, self.coset, vec)
+        coset = scan(other.word, self.sd, self.q, self.coset, vec)
         return HomologyElement(coset=coset, vector=vec,
                                word=reduce_word(self.word + other.word),
                                sd=self.sd, q=self.q)
@@ -73,7 +100,7 @@ def homology_map(word, sd, q):
     if not is_reduced(word):
         raise ValueError("word must be reduced")
     vec = {}
-    coset = _scan(word, sd, q, 0, vec)
+    coset = scan(word, sd, q, 0, vec)
     return HomologyElement(coset=coset, vector=vec, word=word, sd=sd, q=q)
 
 
@@ -158,9 +185,10 @@ def test_schreier_psl23():
         assert sorted(targets) == list(range(12))
         back = [sd.table[c][l ^ 1] for c in range(12)]
         assert all(back[targets[c]] == c for c in range(12))
-    # transversal is prefix-closed and shortest
-    words = set(sd.transversal)
-    for w in sd.transversal:
+    # transversal is prefix-closed
+    words = {transversal_word(sd, c) for c in range(12)}
+    assert len(words) == 12
+    for w in words:
         assert all(w[:i] in words for i in range(len(w)))
 
 
@@ -168,7 +196,7 @@ def test_schreier_psl23():
 
 
 def schreier_two_pass(elements, mul, identity, gen_images):
-    """(table, transversal, sgen_of, elements in coset order)."""
+    """(table, parent, via, voltage, elements in coset order)."""
     index = {e: i for i, e in enumerate(elements)}
     inverses = [next(h for h in elements if mul(g, h) == identity)
                 for g in gen_images]
@@ -188,21 +216,22 @@ def schreier_two_pass(elements, mul, identity, gen_images):
         head += 1
     table = [[coset_of[index[mul(e, letter_img[l])]] for l in range(6)]
              for e in order]
-    transversal = [()] * len(order)
     tree = set()
     for c in range(1, len(order)):
         pc, pl = parent[c]
-        transversal[c] = transversal[pc] + (pl,)
         tree.update({(pc, pl), (c, pl ^ 1)})
-    sgen_of = {}
+    voltage = [[-1] * 6 for _ in order]
     rank = 0
     for c in range(len(order)):
         for l in range(6):
-            if (c, l) not in tree and (c, l) not in sgen_of:
-                sgen_of[(c, l)] = (rank, 1)
-                sgen_of[(table[c][l], l ^ 1)] = (rank, -1)
+            if (c, l) not in tree and voltage[c][l] < 0:
+                voltage[c][l] = 2 * rank
+                voltage[table[c][l]][l ^ 1] = 2 * rank + 1
                 rank += 1
-    return table, transversal, sgen_of, order
+    as_array = lambda x: np.array(x, dtype=np.int64)
+    return (as_array(table), as_array([0] + [pc for pc, _ in parent[1:]]),
+            as_array([-1] + [pl for _, pl in parent[1:]]), as_array(voltage),
+            order)
 
 
 def psl23_quotient_input():
@@ -217,9 +246,11 @@ def test_schreier_matches_two_pass_build(name):
     args = (([0, 1], lambda a, b: a ^ b, 0, [1, 1, 1]) if name == "Z2"
             else psl23_quotient_input())
     sd = schreier_build(*args)
-    table, transversal, sgen_of, order = schreier_two_pass(*args)
-    assert (sd.table, sd.transversal, sd.sgen_of) == \
-        (table, transversal, sgen_of)
+    *expected, order = schreier_two_pass(*args)
+    for got, want in zip((sd.table, sd.parent, sd.via, sd.voltage), expected):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert sd.rank == 2 * len(order) + 1
     mul = args[1]
     for c1, x in enumerate(order):
         for c2, y in enumerate(order):
@@ -250,13 +281,24 @@ def test_schreier_on_psl_rows_calls_mul_for_the_spot_checks_only():
     sd = schreier_build(elements, counting_mul, identity, images)
     # one checked row (the last) of 12, for each of the three images
     assert len(calls) == 3
-    assert sd.table == schreier_build(list(elements), mul, identity,
-                                      images).table
+    assert np.array_equal(sd.table, schreier_build(list(elements), mul,
+                                                   identity, images).table)
 
 
 def test_schreier_rejects_non_generating():
     with pytest.raises(ValueError, match="proper subgroup"):
         schreier_build([0, 1, 2, 3], lambda a, b: a ^ b, 0, [1, 1, 1])
+
+
+@pytest.mark.parametrize("kind", ["list", "Elements"])
+def test_schreier_rejects_an_identity_outside_the_elements(kind):
+    # the same ValueError from the generic table and from psl's rows
+    elements, mul, _, images = psl23_quotient_input()
+    if kind == "list":
+        elements = list(elements)
+    with pytest.raises(ValueError,
+                       match=r"^\(2, 2, 2, 2\) is not in the sequence$"):
+        schreier_build(elements, mul, (2, 2, 2, 2), images)
 
 
 def test_homology_identity():
@@ -437,11 +479,11 @@ def trivial_word_counts_brute(n, k, m, q, ctx=None):
                                          modulus, q))
         if use_hom:
             c = coset_stack[-1]
-            hit = sd.sgen_of.get((c, letter))
-            if hit is None:
+            v = int(sd.voltage[c][letter])
+            if v < 0:
                 undo.append(None)
             else:
-                idx, sign = hit
+                idx, sign = v // 2, (-1 if v % 2 else 1)
                 old = vec.get(idx, 0)
                 undo.append((idx, old))
                 nv = (old + sign) % q
@@ -547,10 +589,13 @@ def test_counts_radius_cap(monkeypatch):
         trivial_word_counts(1, None, 13, 29)
 
 
-@pytest.mark.parametrize("n, m", [(0, -1), (1, -2), (-1, 3)])
-def test_counts_reject_negative(n, m, monkeypatch):
+@pytest.mark.parametrize("n, m, k", [
+    pytest.param(0, -1, None, id="0--1"), pytest.param(1, -2, None, id="1--2"),
+    pytest.param(-1, 3, None, id="-1-3"), pytest.param(1, 3, 0, id="k=0"),
+    pytest.param(1, 3, -1, id="k=-1")])
+def test_counts_reject_negative(n, m, k, monkeypatch):
     def no_context(*args, **kwargs):
         raise AssertionError("context built before the argument check")
     monkeypatch.setattr(FiberContext, "build", no_context)
     with pytest.raises(ValueError):
-        trivial_word_counts(n, None, m, 29)
+        trivial_word_counts(n, k, m, 29)

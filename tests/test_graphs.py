@@ -14,9 +14,8 @@ from boxlab.graphs import (Graph, cayley_graph, complete,
                            bfs_tree, complete_bipartite, cycle,
                            generator_table, girth,
                            homology_cover, inverse_permutations,
-                           is_automorphism, petersen,
-                           spanning_tree, SpanningTreeData, tree_products,
-                           verify_covering)
+                           is_automorphism, petersen, tree_products,
+                           verify_covering, voltage_tree)
 from boxlab.quaternion import quaternion_generators
 from boxlab.suites import lps_cayley
 from boxlab.zmod import LpsParams
@@ -123,10 +122,20 @@ def test_girth(graph, expected):
 
 
 def test_spanning_tree_counts():
-    st = spanning_tree(petersen())
-    assert len(st.tree_edges) == 9
-    assert st.rank == 6
-    assert len(st.non_tree_edges) == 6
+    g = petersen()
+    voltage, rank = voltage_tree(g.indptr, g.indices, arc_partners(g))[2:]
+    assert np.count_nonzero(voltage < 0) == 2 * 9
+    assert rank == 6
+    assert sorted(voltage[voltage >= 0].tolist()) == list(range(12))
+
+
+def test_deck_translate_rejects_a_non_integer_shift():
+    cover = homology_cover(cycle(4), 2)
+    assert cover.rank == 1
+    assert cover.deck_translate([1.0]).tolist() == [4, 5, 6, 7, 0, 1, 2, 3]
+    for shift in ([0.5], [1.5], np.array([0.25])):
+        with pytest.raises(ValueError, match="not integer"):
+            cover.deck_translate(shift)
 
 
 def test_cover_of_cycle_is_long_cycle():
@@ -772,44 +781,64 @@ def is_bipartite_brute(graph):
     return True
 
 
+def arc_partners(graph):
+    """The reverse of each arc of a simple graph, found one arc at a time."""
+    arc = {}
+    for u, row in enumerate(adj(graph)):
+        for v in row:
+            arc[(u, v)] = len(arc)
+    return np.array([arc[(v, u)] for u, v in arc], dtype=np.int64)
+
+
 def spanning_tree_brute(graph):
-    if not (graph.n == 0 or all(d >= 0 for d in bfs_distances_brute(graph, 0))):
+    """(parent, via, voltage, rank) of ``voltage_tree`` on a simple graph:
+    the BFS tree from vertex 0 over sorted neighbours, one vertex at a time,
+    and the non-tree edges (u, v), u < v, numbered lexicographically."""
+    if graph.n == 0:
+        raise ValueError("a graph with no vertices has no spanning tree")
+    if not all(d >= 0 for d in bfs_distances_brute(graph, 0)):
         raise ValueError("graph must be connected")
     nbrs = adj(graph)
-    seen = [False] * graph.n
-    seen[0] = True
-    tree = set()
+    parent, via = [-1] * graph.n, [-1] * graph.n
+    parent[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    tree.add((u, v) if u < v else (v, u))
+            for slot, v in enumerate(nbrs[u]):
+                if parent[v] < 0:
+                    parent[v], via[v] = u, slot
                     nxt.append(v)
         frontier = nxt
-    non_tree = [(u, v) for u in range(graph.n) for v in nbrs[u]
-                if u < v and (u, v) not in tree]
-    return SpanningTreeData(
-        tree_edges=np.array(sorted(tree), dtype=np.int64).reshape(-1, 2),
-        non_tree_edges=np.array(non_tree, dtype=np.int64).reshape(-1, 2),
-        rank=graph.num_edges - graph.n + 1)
+    arcs = [(u, v) for u in range(graph.n) for v in nbrs[u]]
+    position = {arc: a for a, arc in enumerate(arcs)}
+    voltage = [-1] * len(arcs)
+    rank = 0
+    for a, (u, v) in enumerate(arcs):
+        if u < v and parent[v] != u and parent[u] != v:
+            voltage[a], voltage[position[(v, u)]] = 2 * rank, 2 * rank + 1
+            rank += 1
+    as_array = lambda x: np.array(x, dtype=np.int64)
+    return as_array(parent), as_array(via), as_array(voltage), rank
 
 
-def homology_cover_edges_brute(graph, m, tree):
-    """The cover's edges, one block of Z_m^r at a time."""
-    n, r = graph.n, tree.rank
+def homology_cover_edges_brute(graph, m, voltage):
+    """The cover's edges, one block of Z_m^r at a time: each edge u < v of
+    the base, in block a and joined to block a + unit_j if its voltage is
+    2j."""
+    n, r = graph.n, (max(voltage, default=-1) + 1) // 2
+    arcs = [(u, v) for u in range(n) for v in adj(graph)[u]]
     weights = [m ** i for i in range(r)]
     edges = []
     for block in range(m ** r):
-        base_off = block * n
-        for u, v in tree.tree_edges.tolist():
-            edges.append((base_off + u, base_off + v))
-        for j, (u, v) in enumerate(tree.non_tree_edges.tolist()):
-            digit = (block // weights[j]) % m
-            target = block + ((digit + 1) % m - digit) * weights[j]
-            edges.append((base_off + u, target * n + v))
+        for (u, v), w in zip(arcs, voltage.tolist()):
+            if u > v:
+                continue
+            target = block
+            if w >= 0:
+                digit = (block // weights[w // 2]) % m
+                target += ((digit + 1) % m - digit) * weights[w // 2]
+            edges.append((block * n + u, target * n + v))
     return edges
 
 
@@ -833,16 +862,20 @@ def outcome(fn, *args):
 
 
 def assert_same_tree(tree, expected):
-    assert np.array_equal(tree.tree_edges, expected.tree_edges)
-    assert np.array_equal(tree.non_tree_edges, expected.non_tree_edges)
-    assert tree.rank == expected.rank
+    parent, via, voltage, rank = tree
+    assert rank == expected[3]
+    for got, want in zip((parent, via, voltage), expected):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def assert_cover_matches_brute(cover):
     base = cover.base
     tree = spanning_tree_brute(base)
-    assert_same_tree(cover.tree, tree)
-    edges = homology_cover_edges_brute(base, cover.m, tree)
+    assert_same_tree(voltage_tree(base.indptr, base.indices,
+                                  arc_partners(base)), tree)
+    assert np.array_equal(cover.voltage, tree[2]) and cover.rank == tree[3]
+    edges = homology_cover_edges_brute(base, cover.m, tree[2])
     assert adj(cover.graph) == from_edges_brute(cover.graph.n, edges)
     assert np.array_equal(cover.projection,
                           [cv % base.n for cv in range(cover.graph.n)])
@@ -887,20 +920,77 @@ def test_array_graph_matches_vertex_loops(name):
                                    (bfs_distances_brute(g, 0) if n else []))
     for source in range(n):
         assert g.bfs_distances(source).tolist() == bfs_distances_brute(g, source)
-    if n == 0:      # there is no vertex 0 to grow a tree from
-        with pytest.raises(IndexError):
-            spanning_tree(g)
-        with pytest.raises(IndexError):
-            spanning_tree_brute(g)
-        return
+    # the empty graph has no vertex 0 to grow a tree from, and a
+    # disconnected one no spanning tree: both raise ValueError
     expected = outcome(spanning_tree_brute, g)
-    if isinstance(expected, SpanningTreeData):
-        assert_same_tree(spanning_tree(g), expected)
+    if isinstance(expected, tuple) and expected[0] is ValueError:
+        assert outcome(homology_cover, g, 2) == expected
+        assert outcome(voltage_tree, g.indptr, g.indices,
+                       arc_partners(g)) == expected
     else:
-        assert outcome(spanning_tree, g) == expected
-    if g.is_connected():
+        assert_same_tree(voltage_tree(g.indptr, g.indices, arc_partners(g)),
+                         expected)
+    if g.is_connected() and n:
         for m in (2, 3):
             assert_cover_matches_brute(homology_cover(g, m))
+
+
+@st.composite
+def voltage_inputs(draw):
+    """(indptr, indices, partner) of a random connected multigraph, loops
+    and repeated edges included, or of a random transitive coset table of
+    three letters and their inverses."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        vertex = st.integers(0, n - 1)
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        edges += draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+        edges = draw(st.permutations(edges))
+        # arc a < e is edge a, arc a + e its reverse; sorted by tail, stably
+        e = len(edges)
+        tail = [u for u, _ in edges] + [v for _, v in edges]
+        head = [v for _, v in edges] + [u for u, _ in edges]
+        order = sorted(range(2 * e), key=tail.__getitem__)
+        position = {a: i for i, a in enumerate(order)}
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+        return (indptr, np.array([head[a] for a in order], dtype=np.int64),
+                np.array([position[(a + e) % (2 * e)] for a in order],
+                         dtype=np.int64))
+    # letter 0 walks one n-cycle, so the table is transitive
+    ring = draw(st.permutations(range(n)))
+    perms = [[0] * n]
+    for i in range(n):
+        perms[0][ring[i]] = ring[(i + 1) % n]
+    perms += [draw(st.permutations(range(n))) for _ in range(2)]
+    table = np.empty((n, 6), dtype=np.int64)
+    for j, perm in enumerate(perms):
+        table[:, 2 * j] = perm
+        table[perm, 2 * j + 1] = np.arange(n)
+    return (np.arange(n + 1) * 6, table.ravel(),
+            (table * 6 + (np.arange(6) ^ 1)).ravel())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(voltage_inputs())
+def test_voltage_tree_numbers_each_non_tree_edge_once(case):
+    indptr, indices, partner = case
+    n, arcs = len(indptr) - 1, len(indices)
+    parent, via, voltage, rank = voltage_tree(indptr, indices, partner)
+    assert rank == arcs // 2 - n + 1
+    # the 2(n - 1) tree arcs: each vertex's arc from its parent, reversed too
+    assert parent[0] == 0 and via[0] == -1
+    tree = [indptr[parent[v]] + via[v] for v in range(1, n)]
+    assert [indices[t] for t in tree] == list(range(1, n))
+    tree_arcs = set(tree) | {partner[t] for t in tree}
+    assert len(tree_arcs) == 2 * (n - 1)
+    assert tree_arcs == set(np.flatnonzero(voltage == -1).tolist())
+    # each non-tree index j on one arc pair, 2j on its first arc in order
+    first = [np.flatnonzero(voltage == 2 * j) for j in range(rank)]
+    second = [np.flatnonzero(voltage == 2 * j + 1) for j in range(rank)]
+    assert all(len(a) == len(b) == 1 for a, b in zip(first, second))
+    assert all(partner[a[0]] == b[0] > a[0] for a, b in zip(first, second))
+    assert [a[0] for a in first] == sorted(a[0] for a in first)
+    assert np.count_nonzero(voltage >= 0) == 2 * rank
 
 
 @pytest.mark.parametrize("n,edges", [

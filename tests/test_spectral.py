@@ -452,24 +452,24 @@ def test_lift_matches_twisted_operators_of_the_spanning_tree(corpus_cover,
                                                              name, m):
     # every corpus cover up to DENSE_LIMIT.  L^2 of the Z_m^r homology cover
     # splits over the characters c != 0 of Z_m^r: the relative spectrum is
-    # the union of spec(k - A_c), where A_c carries 1 on tree edges and
-    # omega^c_j (omega^-c_j reversed) on non-tree edge j, built from the
-    # cover's spanning tree alone
+    # the union of spec(k - A_c), where arc u -> v of the base puts 1 at
+    # A_c[u, v] on a tree arc, omega^c_j on voltage 2j and omega^-c_j on
+    # voltage 2j + 1, built from the cover's per-arc voltages alone
     from scipy.linalg import eigvalsh
 
     cover = corpus_cover(name, m)
     assert cover.graph.n <= spectral.DENSE_LIMIT
-    base, tree = cover.base, cover.tree
+    base = cover.base
     omega = np.exp(2j * np.pi / m)
+    arcs = list(zip(*(side.tolist() for side in base.arcs()),
+                    cover.voltage.tolist()))
     expected = []
     for c in itertools.product(range(m), repeat=cover.rank):
         if not any(c):
             continue
         a = np.zeros((base.n, base.n), dtype=complex)
-        for u, v in tree.tree_edges.tolist():
-            a[u, v] = a[v, u] = 1
-        for (u, v), cj in zip(tree.non_tree_edges.tolist(), c):
-            a[u, v], a[v, u] = omega ** cj, omega ** -cj
+        for u, v, w in arcs:
+            a[u, v] = 1 if w < 0 else omega ** (c[w // 2] * (1 - 2 * (w % 2)))
         expected.extend(eigvalsh(base.k * np.eye(base.n) - a))
     expected = np.sort(expected)
     deco = lift_decomposition(cover.graph, base, cover.projection)

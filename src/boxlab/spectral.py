@@ -18,7 +18,8 @@ from .errors import ResourceLimitError
 from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
 # vertices of the largest graph solved densely: spectrum() solves the whole
-# adjacency, and lift_decomposition one f x f matrix T for the characters of
+# adjacency, and lift_decomposition holds the (f - 1) x f exponents of its
+# characters and their read-back on every arc, (f - 1) x |G| k entries, for
 # its f <= |G| sheets
 DENSE_LIMIT = 4000
 # per unit of degree, the residual that extreme_spectrum's certificate must
@@ -248,6 +249,8 @@ class LiftDecomposition:
         (default: all) relative values, as columns in that order: the column
         of character c and block eigenvector w is w(b) u_c(s) at the vertex
         over b on sheet s."""
+        if count is not None and count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
         picked = self.order[:count]
         n_base, f = self.vertex.shape
         c, j = np.divmod(picked, n_base)
@@ -296,21 +299,18 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     nbr = covering_neighbours(g, h, fiber_map).reshape(g.n, h.k)
     if not g.is_connected():
         raise ValueError("lift decomposition needs a connected cover")
-    vertex, perms, arc_perm = _sheets(h, nbr, blocks)
+    vertex, perms, moves = _sheets(h, nbr, blocks)
     f = blocks.shape[1]
-    sheet = np.empty(g.n, dtype=np.int64)
-    sheet[vertex] = np.arange(f)
-    # [i, s]: the sheet of g's neighbour of the vertex on sheet s along arc i
-    moves = sheet[nbr[vertex].transpose(0, 2, 1).reshape(-1, f)]
 
     lap_h = k * np.eye(h.n) - h.adjacency_matrix()
     h_vals, h_vecs = eigh(lap_h, driver="evd")
     worst = np.linalg.norm(lap_h @ h_vecs - h_vecs * h_vals, axis=0).max(
         initial=0.0)
 
-    labels, exponents = _characters(perms, f)
-    # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f)
-    volt = labels[:, arc_perm]
+    exponents = _characters(perms, f)
+    # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f),
+    # the exponent of the sheet that arc i carries sheet 0 to
+    volt = exponents[:, moves[:, 0]]
     # [c, i, s]: exponents[c, moves[i, s]] - exponents[c, s] - volt[c, i],
     # formed in one array of the narrowest signed type that holds (-2f, f)
     narrow = exponents.astype(np.min_scalar_type(-2 * f))
@@ -351,9 +351,9 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
 
 def _sheets(h: Graph, nbr: np.ndarray,
             blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vertex, perms, arc_perm): vertex[b, s] is the vertex of g over b on
+    """(vertex, perms, moves): vertex[b, s] is the vertex of g over b on
     sheet s, and arc i of h, in h.arcs() order, carries sheet s to sheet
-    perms[arc_perm[i], s]; perms holds each distinct permutation once.
+    moves[i, s]; perms holds each distinct row of moves once.
     nbr[u, j] is the neighbour of u over the j-th neighbour of its base
     vertex, as covering_neighbours gives it, and h is connected.
     ValueError unless the permutations commute.
@@ -370,55 +370,51 @@ def _sheets(h: Graph, nbr: np.ndarray,
     sheet[vertex] = np.arange(f)
     # [i, s]: the neighbour of the vertex on sheet s along arc i of h
     heads = nbr[vertex].transpose(0, 2, 1).reshape(-1, f)
-    perms, arc_perm = np.unique(sheet[heads], axis=0, return_inverse=True)
-    arc_perm = arc_perm.ravel()
-    if not np.array_equal(vertex[h.indices[:, None], perms[arc_perm]], heads):
+    moves = sheet[heads]
+    if not np.array_equal(vertex[h.indices[:, None], moves], heads):
         raise RuntimeError("sheet labels and arc permutations do not "
                            "rebuild g")
+    perms = np.unique(moves, axis=0)
     for p in perms:
         if not np.array_equal(perms[:, p], p[perms]):
             raise ValueError("the cover's monodromy does not commute")
-    return vertex, perms, arc_perm
+    return vertex, perms, moves
 
 
-def _characters(perms: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, exponents) of the nontrivial characters of the abelian group
-    that perms generate on the f sheets, uncertified: with
+def _characters(perms: np.ndarray, f: int) -> np.ndarray:
+    """The exponents of the nontrivial characters of the abelian group that
+    perms generate, acting regularly on the f sheets, uncertified: with
     omega = exp(2 pi i / f), u_c(s) = omega^exponents[c, s] / sqrt(f) has
-    u_c[perms[j]] = omega^labels[c, j] u_c.
+    u_c[p] = omega^exponents[c, p[0]] u_c for each p that the group holds.
 
-    The eigenvectors of T = sum_j c_j (P_j + P_j^T) + i d_j (P_j - P_j^T),
-    for fixed generic c, d, are joint eigenvectors up to rounding; their
-    Rayleigh quotients u* P_j u, rounded to f-th roots of unity, stay exact
-    where two values of T nearly coincide and their eigenvectors mix.  The
-    exponents follow the labels along a BFS tree of the sheets."""
-    from scipy.linalg import eigh
-
-    c, d = np.random.default_rng(0).random((2, len(perms)))
-    # T = M + M^H with M = sum_j (c_j + i d_j) P_j, (P x)[s] = x[P[s]],
-    # in Fortran order, so that LAPACK solves it in place
-    t = np.zeros((f, f), dtype=complex, order="F")
-    np.add.at(t, (np.tile(np.arange(f), len(perms)), perms.ravel()),
-              np.repeat(c + 1j * d, f))
-    t += t.conj().T
-    _, u = eigh(t, overwrite_a=True)
-    del t       # overwritten; freed before the quotients and exponents
-    # [c, j]: u_c* P_j u_c, from 128 columns of u at a time
-    quotients = np.empty((f, len(perms)), dtype=complex)
-    for at in range(0, f, 128):
-        block = u[:, at:at + 128]
-        quotients[at:at + 128] = np.array(
-            [np.einsum("sc,sc->c", block.conj(), block[p]) for p in perms]).T
-    labels = np.rint(np.angle(quotients) * f / (2 * np.pi)) % f
-    labels = labels[labels.any(axis=1)].astype(np.int64)
-    # sheet perms[j, s] is row s, column j of a generator table
-    _, parent, via, depth = bfs_tree(
-        np.arange(0, perms.size + 1, len(perms)), perms.T.ravel(), 0)
-    exponents = np.zeros((len(labels), f), dtype=np.int64)
-    for level in range(1, int(depth.max()) + 1):
-        at = np.flatnonzero(depth == level)
-        exponents[:, at] = (exponents[:, parent[at]] + labels[:, via[at]]) % f
-    return labels, exponents
+    Exact, one generator at a time.  The sheets B reached so far are the
+    orbit of 0 under a subgroup, whose characters are the rows, read on the
+    columns B.  For a generator p, let t be the least power with
+    x = p^t(0) in B: the cosets p^i(B), i < t, make up the orbit of the
+    larger subgroup, and a character e of B extends in t ways, by a value
+    l = e(x) / t + j f / t on p (j < t), and e(b) + i l on p^i(b).  t |B|
+    divides f, so t divides e(x), a multiple of f / |B|.  Row 0 stays the
+    trivial character, and is dropped."""
+    exponents = np.zeros((1, f), dtype=np.int64)
+    members = np.zeros(1, dtype=np.int64)      # B, from sheet 0
+    for p in perms:
+        # cosets[i][0] is p^i(0)
+        cosets = [members]
+        while p[cosets[-1][0]] not in members:
+            cosets.append(p[cosets[-1]])
+        t, x = len(cosets), p[cosets[-1][0]]
+        if t == 1:
+            continue
+        members = np.concatenate(cosets)
+        # [c, j]: the value on p of the j-th extension of character c
+        step = exponents[:, x, None] // t + f // t * np.arange(t)
+        # [c, j, i, b]: its value on p^i(b) for the b-th sheet of B
+        values = exponents[:, None, None, cosets[0]] \
+            + step[:, :, None, None] * np.arange(t)[:, None]
+        values %= f
+        exponents = np.zeros((len(values) * t, f), dtype=np.int64)
+        exponents[:, members] = values.reshape(len(exponents), len(members))
+    return exponents[1:]
 
 
 # --- non-backtracking walk traces -------------------------------------------
@@ -439,6 +435,8 @@ class TraceSequence:
 def nb_trace(graph: Graph, M: int) -> TraceSequence:
     """Traces of the non-backtracking operators via the recursion
     T0 = Id, T1 = A, T2 = A^2 - (p+1) Id, T_m = A T_{m-1} - p T_{m-2}."""
+    if M < 0:
+        raise ValueError(f"M must be non-negative, got {M}")
     k = graph.k
     p = k - 1
     n = graph.n

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from boxlab import spectral
 from boxlab.errors import ResourceLimitError
-from boxlab.graphs import (Graph, complete, complete_bipartite, cycle, girth,
+from boxlab.graphs import (Graph, complete, complete_bipartite,
+                           covering_neighbours, cycle, fibers, girth,
                            homology_cover, petersen)
 from boxlab.suites import lps_cayley
 from boxlab.spectral import (POLISHED_RESIDUAL, ExtremeSpectrum, Spectrum,
@@ -176,6 +177,14 @@ def test_lift_decomposition_c8_c4():
     assert np.allclose(rel, expected, atol=1e-9)
     assert abs(deco.epsilon - (2 - math.sqrt(2))) < 1e-9
     assert deco.relative_vectors().shape == (8, 4)
+
+
+def test_relative_vectors_reject_a_negative_count():
+    # a slice order[:-1] would drop the last column without a word
+    deco = lift_decomposition(cycle(8), cycle(4), [v % 4 for v in range(8)])
+    assert deco.relative_vectors(4).shape == (8, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        deco.relative_vectors(-1)
 
 
 def test_lift_decomposition_trivial_quotient():
@@ -380,20 +389,24 @@ SMALL_REGULAR = [cycle(5), cycle(6), complete(4), complete(5),
                  complete_bipartite(3, 3), petersen()]
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(data=st.data(), base=st.sampled_from(range(len(SMALL_REGULAR))),
-       group=st.sampled_from([(1, False), (2, False), (3, False), (4, False),
-                              (4, True)]),
+       group=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (2, 4),
+                              (3, 9)]),
        seed=st.integers(0, 2 ** 16))
 def test_lift_matches_brute_on_random_voltage_covers(data, base, group, seed):
-    # translations of Z_f, or of Z_2 x Z_2 (s -> s xor a) at f = 4: abelian
-    # monodromy, whose cover is connected when the voltages generate
+    # translations of Z_n1 x Z_n2 on the f = n1 n2 sheets, numbered in mixed
+    # radix: abelian monodromy, whose cover is connected when the voltages
+    # generate
     h = SMALL_REGULAR[base]
-    f, klein = group
+    f = math.prod(group)
+    digits = np.array(np.unravel_index(np.arange(f), group))
+    orders = np.array(group)[:, None]
     voltages = {}
     for e in edges(h):
-        a = data.draw(st.integers(0, f - 1))
-        voltages[e] = [s ^ a if klein else (s + a) % f for s in range(f)]
+        a = np.array([[data.draw(st.integers(0, n - 1))] for n in group])
+        voltages[e] = np.ravel_multi_index((digits + a) % orders,
+                                           group).tolist()
     g, fiber_map = voltage_cover(h, f, voltages, seed=seed)
     if g.is_connected():
         assert_matches_brute(g, h, fiber_map)
@@ -428,20 +441,20 @@ def test_lift_rejects_a_cover_above_the_dense_limit(monkeypatch):
 @pytest.mark.parametrize("name,m", [("C6", 3), ("K4", 3), ("K33", 3)])
 def test_lift_certificate_rejects_split_blocks(corpus_cover, monkeypatch,
                                                name, m):
-    # one character label moved to its neighbouring root of unity: the
-    # character's vector is no longer an eigenvector of that arc's
-    # permutation, and only the read-back against g's arcs tells
+    # one exponent of one character moved to its neighbouring root of
+    # unity: the character's vector is no longer an eigenvector of the arc
+    # permutations that touch that sheet, and only the read-back tells
     cover = corpus_cover(name, m)
     real_characters = spectral._characters
 
     def corrupted(perms, f):
-        labels, exponents = real_characters(perms, f)
-        labels = labels.copy()
-        labels[0, -1] = (labels[0, -1] + 1) % f
-        return labels, exponents
+        exponents = real_characters(perms, f).copy()
+        exponents[0, -1] = (exponents[0, -1] + 1) % f
+        return exponents
 
     monkeypatch.setattr(spectral, "_characters", corrupted)
-    with pytest.raises(RuntimeError, match="do not recombine"):
+    with pytest.raises(RuntimeError, match="do not recombine: the characters "
+                                           "do not read back"):
         lift_decomposition(cover.graph, cover.base, cover.projection)
 
 
@@ -478,10 +491,92 @@ def test_lift_matches_twisted_operators_of_the_spanning_tree(corpus_cover,
     assert abs(deco.epsilon - expected[0]) <= 1e-9
 
 
+def arc_labels(g, h, projection, vertex, exponents):
+    """[c, i]: the exponent of character c on the sheet that arc i of h, in
+    h.arcs() order, carries sheet 0 to, read off g's own neighbours of the
+    vertex over the arc's tail on sheet 0 (h has no repeated edges)."""
+    sheet = np.empty(g.n, dtype=np.int64)
+    sheet[vertex] = np.arange(vertex.shape[1])
+    projection = np.asarray(projection)
+    heads = []
+    for u, v in zip(*(side.tolist() for side in h.arcs())):
+        tail = vertex[u, 0]
+        nbrs = g.indices[g.indptr[tail]:g.indptr[tail + 1]]
+        (head,) = nbrs[projection[nbrs] == v]
+        heads.append(sheet[head])
+    return exponents[:, heads]
+
+
+def assert_closed_form_characters(cover, m, vertex, exponents):
+    # the characters of Z_m^r are the c != 0 in Z_m^r: each puts
+    # (f / m) c_j on the arc of voltage 2j, its negative on voltage 2j + 1
+    # and 0 on tree arcs, whichever voltages the cover drew
+    f, r = m ** cover.rank, cover.rank
+    labels = arc_labels(cover.graph, cover.base, cover.projection, vertex,
+                        exponents)
+    voltage = cover.voltage
+    assert not labels[:, voltage < 0].any()
+    arc = {w: i for i, w in enumerate(voltage.tolist())}
+    forward = labels[:, [arc[2 * j] for j in range(r)]]
+    backward = labels[:, [arc[2 * j + 1] for j in range(r)]]
+    assert not ((forward + backward) % f).any()
+    closed = {tuple(f // m * c for c in cs)
+              for cs in itertools.product(range(m), repeat=r) if any(cs)}
+    assert len(forward) == f - 1
+    assert set(map(tuple, forward.tolist())) == closed
+
+
+@pytest.mark.parametrize("name,m", [("C6", 3), ("K4", 3), ("K4", 5),
+                                    ("psl23", 2)])
+def test_lift_characters_are_the_closed_form(corpus_cover, name, m):
+    cover = corpus_cover(name, m)
+    deco = lift_decomposition(cover.graph, cover.base, cover.projection)
+    assert_closed_form_characters(cover, m, deco.vertex, deco.exponents)
+
+
+def test_characters_in_closed_form_above_the_dense_limit(corpus_cover):
+    # the Petersen m=3 cover, f = 729: above DENSE_LIMIT the lift refuses
+    # it, so its sheets and characters are taken directly, and read back
+    # against every distinct arc permutation
+    cover = corpus_cover("petersen", 3)
+    g, h = cover.graph, cover.base
+    assert g.n > spectral.DENSE_LIMIT
+    nbr = covering_neighbours(g, h, cover.projection).reshape(g.n, h.k)
+    vertex, perms, _ = spectral._sheets(h, nbr, fibers(cover.projection, h.n))
+    exponents = spectral._characters(perms, vertex.shape[1])
+    assert_closed_form_characters(cover, 3, vertex, exponents)
+    for p in perms:
+        assert not ((exponents[:, p] - exponents - exponents[:, [p[0]]])
+                    % 729).any()
+
+
+def test_lift_runs_one_base_and_one_batched_block_solve(corpus_cover,
+                                                        monkeypatch):
+    # the PSL(2, 3) m=2 cover, f = 128: the base's eigh and the blocks'
+    # batched eigh are the only solves, and none is f-square
+    import scipy.linalg
+
+    cover = corpus_cover("psl23", 2)
+    calls = []
+
+    def counted(solve, name):
+        def run(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        counted(scipy.linalg.eigh, "scipy"))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "numpy"))
+    lift_decomposition(cover.graph, cover.base, cover.projection)
+    assert calls == [("scipy", (12, 12)), ("numpy", (127, 12, 12))]
+
+
 def test_lift_on_nearly_degenerate_characters():
-    # C4000 over C4, f = 1000: values of the generic T of the characters of
-    # Z_1000 nearly coincide, and their eigenvectors mix; the relative
-    # values are 2 - 2 cos(2 pi j / 4000) for j not divisible by 1000
+    # C4000 over C4, f = 1000: one shift generates Z_1000, and its 1,000
+    # characters, labels j / 1000 of a turn, come from a single orbit of all
+    # 1,000 sheets; the relative values are 2 - 2 cos(2 pi j / 4000) for j
+    # not divisible by 1000
     g, h = cycle(4000), cycle(4)
     deco = lift_decomposition(g, h, np.arange(4000) % 4)
     j = np.arange(4000)
@@ -492,9 +587,9 @@ def test_lift_on_nearly_degenerate_characters():
 
 def test_lift_memory_on_a_thousand_sheets():
     # C4000 over C4, f = 1000: the read-back holds 999 x 8 x 1000 int16
-    # entries, 16 MB, and the characters' f-square operator is solved in
-    # place; an int64 read-back alone would be 64 MB.  The peak read 33.3 MB
-    # on numpy 2.4.6 and scipy 1.17.1, 70.7 MB with an int64 read-back
+    # entries, 16 MB, beside the 1,000 x 1,000 int64 exponents, 8 MB; an
+    # int64 read-back alone would be 64 MB.  The peak read 28.1 MB on numpy
+    # 2.4.6 and scipy 1.17.1
     import scipy.linalg  # noqa: F401  (imported before tracing starts)
 
     g, h = cycle(4000), cycle(4)
@@ -512,23 +607,25 @@ def test_lift_memory_on_a_thousand_sheets():
 @pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 2), ("K4", 3),
                                     ("petersen", 2)])
 def test_lift_certificate_ties_blocks_to_g(corpus_cover, monkeypatch, name, m):
-    # a swap inside one arc permutation after _sheets' own rebuild check
-    # assembles the block operators of another graph over the base.  On C6
-    # m=2 it turns the one transposition into the identity: the operators
-    # are those of two disjoint copies of C6, symmetric and solved to
-    # rounding, and only the read-back against g's arcs tells
+    # a swap inside one arc's row of sheet moves after _sheets' own rebuild
+    # check assembles the block operators of another graph over the base.
+    # With f > 2 the swapped row is no group element, and the read-back
+    # tells.  On C6 m=2 (f = 2) it is the other element and reads back as
+    # one, but the reverse arc keeps the old label, so the blocks are not
+    # Hermitian and their residuals tell
     cover = corpus_cover(name, m)
     real_sheets = spectral._sheets
 
     def swapped(h, nbr, blocks):
-        vertex, perms, arc_perm = real_sheets(h, nbr, blocks)
-        perms = perms.copy()
-        perms[-1, [0, 1]] = perms[-1, [1, 0]]
-        return vertex, perms, arc_perm
+        vertex, perms, moves = real_sheets(h, nbr, blocks)
+        moves = moves.copy()
+        moves[-1, [0, 1]] = moves[-1, [1, 0]]
+        return vertex, perms, moves
 
     lift_decomposition(cover.graph, cover.base, cover.projection)
     monkeypatch.setattr(spectral, "_sheets", swapped)
-    with pytest.raises(RuntimeError, match="do not recombine"):
+    check = "Weyl bound" if (name, m) == ("C6", 2) else "do not read back"
+    with pytest.raises(RuntimeError, match=f"do not recombine: .*{check}"):
         lift_decomposition(cover.graph, cover.base, cover.projection)
 
 
@@ -583,6 +680,12 @@ def nb_closed_walks_brute(graph, m):
         for first in nbrs[s]:
             total += extend(s, s, first, 1)
     return total
+
+
+def test_nb_trace_rejects_a_negative_length():
+    assert nb_trace(cycle(5), 0).exact == (5,)
+    with pytest.raises(ValueError, match="non-negative"):
+        nb_trace(cycle(5), -1)
 
 
 def test_nb_trace_matches_brute_walks():

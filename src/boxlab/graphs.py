@@ -94,12 +94,20 @@ class Graph:
         return self.n == 0 or bool((self.bfs_distances(0) >= 0).all())
 
     def is_bipartite(self) -> bool:
-        """Whether every edge joins BFS depths of opposite parity.  The depths
-        come from one BFS from vertex 0 or, when that misses vertices, from
-        one BFS seeded with the first vertex of every component."""
-        if self.n == 0:
-            return True
-        depth = self.bfs_distances(0)
+        """Whether the graph has a two-colouring, read from two_colouring."""
+        return self.two_colouring() is not None
+
+    def two_colouring(self) -> np.ndarray | None:
+        """The parity of every vertex's BFS depth as a read-only bool array,
+        when every edge joins opposite parities, else None; found once per
+        graph.  The depths are those from vertex 0 or, when that BFS misses
+        vertices, from one BFS seeded with the first vertex of every
+        component, so each component's first vertex is on side False."""
+        return self._two_colouring
+
+    @functools.cached_property
+    def _two_colouring(self) -> np.ndarray | None:
+        depth = self.bfs_distances(0) if self.n else np.zeros(0, np.int64)
         if (depth < 0).any():
             from scipy.sparse.csgraph import connected_components
 
@@ -109,7 +117,10 @@ class Graph:
             depth = bfs_tree(self.indptr, self.indices, roots)[3]
         odd = (depth & 1).astype(bool)
         # each row's parity, repeated by degree, against its neighbours'
-        return not (np.repeat(odd, self.degrees()) == odd[self.indices]).any()
+        if (np.repeat(odd, self.degrees()) == odd[self.indices]).any():
+            return None
+        odd.flags.writeable = False
+        return odd
 
     def adjacency_matrix(self):
         a = np.zeros((self.n, self.n))

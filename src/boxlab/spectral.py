@@ -18,9 +18,9 @@ from .errors import ResourceLimitError
 from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
 # vertices of the largest graph solved densely: spectrum() solves the whole
-# adjacency, and lift_decomposition holds the (f - 1) x f exponents of its
-# characters and their read-back on every arc, (f - 1) x |G| k entries, for
-# its f <= |G| sheets
+# adjacency, or a bipartite graph's biadjacency, and lift_decomposition holds
+# the (f - 1) x f exponents of its characters and their read-back on every
+# arc, (f - 1) x |G| k entries, for its f <= |G| sheets
 DENSE_LIMIT = 4000
 # per unit of degree, the residual that extreme_spectrum's certificate must
 # reach before it stops: its Lanczos run goes on until T's estimates are 100
@@ -33,7 +33,7 @@ POLISHED_RESIDUAL = 1e-12
 class Spectrum:
     values: tuple[float, ...]        # ascending
     operator: str                    # "adjacency" | "laplacian"
-    k: int
+    k: int | None                    # the common degree; None if irregular
 
     def adjacency_values(self) -> tuple[float, ...]:
         return self._as("adjacency")
@@ -42,9 +42,13 @@ class Spectrum:
         return self._as("laplacian")
 
     def _as(self, operator: str) -> tuple[float, ...]:
-        """The values in the given view; the other view is their mirror k - v."""
+        """The values in the given view; the other view is their mirror k - v,
+        so ValueError if the graph is not regular."""
         if self.operator == operator:
             return self.values
+        if self.k is None:
+            raise ValueError(f"no {operator} view: the graph is not regular, "
+                             f"so k - v is no mirror")
         return tuple(sorted(self.k - v for v in self.values))
 
 
@@ -61,11 +65,33 @@ class ExtremeSpectrum:
 def spectrum(graph: Graph) -> Spectrum:
     """Full adjacency spectrum by a dense divide-and-conquer solve
     (|V| <= 4000), which deflates the repeated eigenvalues that symmetric
-    graphs have in bulk; the residual is taken against the sparse adjacency.
+    graphs have in bulk.  A bipartite graph's adjacency is [[0, B], [B^T, 0]]
+    over its two sides, so its spectrum is +-sigma(B) and |X| - |Y| zeros,
+    with X the larger side: there a divide-and-conquer SVD of the
+    |X| x |Y| biadjacency B replaces the n x n solve.  The residual
+    certificate is the largest entry of A x - lambda x over the returned
+    eigenpairs, taken against the sparse adjacency.
     The extreme eigenvalues of larger graphs come from extreme_spectrum."""
+    if graph.n == 0:
+        raise ValueError("the empty graph has no vertices, so no spectrum")
     if graph.n > DENSE_LIMIT:
         raise ResourceLimitError(
             f"dense spectrum limited to {DENSE_LIMIT} vertices, got {graph.n}")
+    side = graph.two_colouring()
+    if side is None:
+        vals, residual = _adjacency_solve(graph)
+    else:
+        vals, residual = _biadjacency_solve(graph, side)
+    degree = int(graph.degrees().max())
+    if residual > 1e-9 * max(1, degree):
+        raise RuntimeError(f"dense solve residual {residual} too large")
+    return Spectrum(values=tuple(float(v) for v in vals), operator="adjacency",
+                    k=degree if graph.is_regular() else None)
+
+
+def _adjacency_solve(graph: Graph) -> tuple[np.ndarray, float]:
+    """The ascending eigenvalues of the adjacency and the largest entry of
+    A V - V diag(vals), by scipy's eigh."""
     from scipy.linalg import eigh
 
     # the adjacency is symmetric, so its transpose is the same matrix in the
@@ -76,12 +102,45 @@ def spectrum(graph: Graph) -> Spectrum:
     # vecs is read only here: scaled in place, it needs no third n x n array
     vecs *= vals
     r -= vecs
-    residual = float(np.abs(r, out=r).max())
-    k = graph.k if graph.is_regular() else int(graph.degrees().max())
-    if residual > 1e-9 * max(1, k):
-        raise RuntimeError(f"dense solve residual {residual} too large")
-    return Spectrum(values=tuple(float(v) for v in vals),
-                    operator="adjacency", k=k)
+    return vals, float(np.abs(r, out=r).max())
+
+
+def _biadjacency_solve(graph: Graph,
+                       side: np.ndarray) -> tuple[np.ndarray, float]:
+    """_adjacency_solve for a bipartite graph with the given two-colouring,
+    by scipy's svd of the dense biadjacency B = U S V^T from the larger side
+    X to the smaller Y.  The eigenpairs are +-sigma_j with
+    (u_j, +-v_j) / sqrt(2), and 0 with (u_j, 0) for each of the |X| - |Y|
+    columns u_j of U past |Y|.  A (u_j, -v_j) has the residual of
+    (u_j, v_j) up to sign, so the residuals are read off the |X| columns
+    (u_j, v_j) and (u_j, 0), scaled to unit length."""
+    from scipy.linalg import svd
+
+    xs = side == (2 * np.count_nonzero(side) > graph.n)
+    x = np.count_nonzero(xs)
+    y = graph.n - x
+    # each vertex's position in its side
+    position = np.where(xs, np.cumsum(xs), np.cumsum(~xs)) - 1
+    src, dst = graph.arcs()
+    leaving = xs[src]
+    b = np.zeros((x, y), order="F")        # the order LAPACK reads uncopied
+    b[position[src[leaving]], position[dst[leaving]]] = 1.0
+    u, sigma, vt = svd(b, lapack_driver="gesdd", overwrite_a=True)
+    del b
+    vecs = np.zeros((graph.n, x))
+    vecs[xs] = u
+    vecs[~xs, :y] = vt.T
+    del u, vt
+    vals = np.zeros(x)
+    vals[:y] = sigma
+    r = graph.sparse_adjacency() @ vecs
+    # vecs is read only here: scaled in place, it needs no third array
+    vecs *= vals
+    r -= vecs
+    np.abs(r, out=r)
+    residual = max(r[:, :y].max(initial=0.0) / math.sqrt(2),
+                   r[:, y:].max(initial=0.0))
+    return np.concatenate([-sigma, vals[y:], sigma[::-1]]), float(residual)
 
 
 def extreme_spectrum(graph: Graph, seed: int = 0) -> ExtremeSpectrum:
@@ -469,6 +528,8 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
 def nb_spectral_formula(adjacency_values, p: int, M: int) -> list[float]:
     """sum_j p^(m/2) sin((m+1) theta_j)/sin(theta_j) with mu = 2 sqrt(p) cos(theta),
     using the sinh form for |mu| > 2 sqrt(p)."""
+    if M < 0:
+        raise ValueError(f"M must be non-negative, got {M}")
     out = []
     root = 2 * math.sqrt(p)
     for m in range(M + 1):
@@ -509,10 +570,14 @@ class TraceAuditReport:
 def trace_inequality_audit(loop_counts, index_a: int, trace: TraceSequence,
                            top_eigenvalue: float | None = None) -> TraceAuditReport:
     """Verify index * f(m) >= cumulative trace for every supplied m, and
-    evaluate the cosh form of the eigenvalue bound."""
+    evaluate the cosh form of the eigenvalue bound.  ValueError for a
+    length m that the trace does not reach."""
     checks = []
     ok = True
     for m in sorted(loop_counts):
+        if not 0 <= m < len(trace.cumulative):
+            raise ValueError(f"length {m} is outside the trace's lengths "
+                             f"0..{len(trace.cumulative) - 1}")
         lhs = index_a * loop_counts[m]
         rhs = trace.cumulative[m]
         checks.append((m, lhs, rhs))

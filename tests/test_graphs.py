@@ -935,6 +935,35 @@ def test_array_graph_matches_vertex_loops(name):
             assert_cover_matches_brute(homology_cover(g, m))
 
 
+@pytest.mark.parametrize("name", RAGGED)
+def test_two_colouring_splits_every_edge_once_per_graph(name, monkeypatch):
+    # connected_components runs at most once per graph, and only when the
+    # BFS from vertex 0 does not span it
+    import scipy.sparse.csgraph
+
+    n, edges = RAGGED[name]
+    g = Graph.from_edges(n, edges)
+    calls = []
+    real = scipy.sparse.csgraph.connected_components
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    side = g.two_colouring()
+    assert g.two_colouring() is side and g.is_bipartite() is (side is not None)
+    assert len(calls) == (n > 0 and not g.is_connected())
+    if side is not None:
+        src, dst = g.arcs()
+        assert side.dtype == bool and not side.flags.writeable
+        assert (side[src] != side[dst]).all()
+        # the first vertex of each component is on side False, which pins
+        # the rest of the component
+        seen = set()
+        for v in range(n):
+            if v not in seen:
+                assert not side[v]
+                seen |= {u for u, d in enumerate(bfs_distances_brute(g, v))
+                         if d >= 0}
+
+
 @st.composite
 def voltage_inputs(draw):
     """(indptr, indices, partner) of a random connected multigraph, loops

@@ -642,6 +642,106 @@ def test_spectrum_matches_mrrr_driver(corpus_cover):
         assert np.abs(np.subtract(spectrum(g).values, ref)).max() <= 1e-9
 
 
+BIPARTITE = {
+    "C8": lambda cover: cycle(8),
+    "K33": lambda cover: complete_bipartite(3, 3),
+    "C6-m2": lambda cover: cover("C6", 2).graph,
+    "K33-m2": lambda cover: cover("K33", 2).graph,
+    "petersen-m2": lambda cover: cover("petersen", 2).graph,
+    "psl23-m2": lambda cover: cover("psl23", 2).graph,
+    "K23": lambda cover: complete_bipartite(2, 3),
+    "K14": lambda cover: complete_bipartite(1, 4),
+    "P5": lambda cover: Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    # the BFS from vertex 0 covers the path 0-1-2 and misses the 4-cycle
+    "P3+C4": lambda cover: Graph.from_edges(
+        7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]),
+    "C6+isolated": lambda cover: Graph.from_edges(
+        7, [(i, (i + 1) % 6) for i in range(6)]),
+    "isolated": lambda cover: Graph.from_edges(3, []),
+}
+
+
+@pytest.mark.parametrize("name", BIPARTITE)
+def test_bipartite_spectrum_matches_the_dense_adjacency(corpus_cover, name):
+    g = BIPARTITE[name](corpus_cover)
+    assert g.two_colouring() is not None
+    values = np.array(spectrum(g).values)
+    assert np.abs(values - np.linalg.eigvalsh(g.adjacency_matrix())).max() \
+        <= 1e-12
+    assert np.array_equal(values, -values[::-1])
+
+
+@pytest.mark.parametrize("name,column", [("petersen-m2", "u"),
+                                         ("petersen-m2", "v"),
+                                         ("K23", "u"), ("K23", "null"),
+                                         ("K14", "null"), ("P5", "null")])
+def test_bipartite_residual_catches_a_perturbed_singular_vector(
+        corpus_cover, monkeypatch, name, column):
+    # one entry of one singular vector moves by 1e-6: a left one of a
+    # nonzero value, a right one, or a column of U past |Y|, whose value is
+    # one of the zeros that the imbalance of the sides adds
+    import scipy.linalg
+
+    g = BIPARTITE[name](corpus_cover)
+    real = scipy.linalg.svd
+
+    def perturbed(a, *args, **kwargs):
+        u, sigma, vt = real(a, *args, **kwargs)
+        if column == "v":
+            vt[0, 0] += 1e-6
+        else:
+            u[0, len(sigma) if column == "null" else 0] += 1e-6
+        return u, sigma, vt
+
+    spectrum(g)
+    monkeypatch.setattr(scipy.linalg, "svd", perturbed)
+    with pytest.raises(RuntimeError, match="dense solve residual"):
+        spectrum(g)
+
+
+def test_spectrum_solves_a_bipartite_graph_by_one_svd(corpus_cover,
+                                                      monkeypatch):
+    # the Petersen m=2 cover, 640 vertices on two sides of 320: one svd of
+    # its 320-square biadjacency and no eigh; Petersen itself has 5-cycles
+    # and takes one eigh of its adjacency
+    import scipy.linalg
+
+    calls = []
+
+    def counted(solve, name):
+        def run(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+        return run
+
+    for module, prefix in ((scipy.linalg, "scipy"), (np.linalg, "numpy")):
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name),
+                                                      f"{prefix} {name}"))
+    spectrum(corpus_cover("petersen", 2).graph)
+    assert calls == [("scipy svd", (320, 320))]
+    calls.clear()
+    spectrum(petersen())
+    assert calls == [("scipy eigh", (10, 10))]
+
+
+def test_laplacian_view_needs_a_regular_graph():
+    # K_{2,3}: the adjacency spectrum is +-sqrt(6) and three zeros, and its
+    # Laplacian spectrum (0, 2, 2, 3, 5) is no mirror of it
+    spec = spectrum(complete_bipartite(2, 3))
+    root = math.sqrt(6)
+    assert np.allclose(spec.adjacency_values(), [-root, 0, 0, 0, root],
+                       atol=1e-12)
+    assert spec.adjacency_values() is spec.values
+    with pytest.raises(ValueError, match="not regular"):
+        spec.laplacian_values()
+
+
+def test_spectrum_of_the_empty_graph_is_a_value_error():
+    with pytest.raises(ValueError, match="empty graph"):
+        spectrum(Graph.from_edges(0, []))
+
+
 def test_spectrum_above_dense_limit_is_a_resource_limit():
     from boxlab.spectral import DENSE_LIMIT
 
@@ -717,6 +817,18 @@ def test_nb_spectral_formula_matches_cumulative():
         formula = nb_spectral_formula(spectrum(g).values, tr.p, 10)
         for m in range(11):
             assert abs(formula[m] - tr.cumulative[m]) < 1e-6, (m, g.n)
+
+
+def test_nb_spectral_formula_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        nb_spectral_formula(spectrum(cycle(5)).values, 1, -1)
+
+
+@pytest.mark.parametrize("m", [4, 9, -1])
+def test_trace_inequality_audit_rejects_a_length_past_the_trace(m):
+    # the trace holds lengths 0..3; -1 would read the last one
+    with pytest.raises(ValueError, match=f"length {m} is outside"):
+        trace_inequality_audit({m: 1}, 1, nb_trace(cycle(5), 3))
 
 
 def test_threshold_constant():

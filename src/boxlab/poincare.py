@@ -160,12 +160,11 @@ def adversarial_map(cay: CayleyGraph, f: np.ndarray | None = None) -> LipschitzM
 
 
 def double_sum(phi: LipschitzMap) -> float:
-    """sum over all ordered vertex pairs of ||phi(x) - phi(y)||^2."""
+    """sum over all ordered vertex pairs of ||phi(x) - phi(y)||^2, as
+    2 n sum_x ||phi(x) - mean||^2, which poincare_sum uses on each block."""
     v = phi.vectors
-    n = v.shape[0]
-    sq = (v * v).sum(axis=1)
-    gram = v @ v.T
-    return float(n * sq.sum() * 2 - 2 * gram.sum())
+    centred = v - v.mean(axis=0)
+    return 2 * len(v) * math.fsum((centred * centred).ravel())
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from .graphs import Graph, bfs_tree, covering_neighbours, fibers
 
 # vertices of the largest graph solved densely: spectrum() solves the whole
 # adjacency, or a bipartite graph's biadjacency, and lift_decomposition holds
-# the (f - 1) x f exponents of its characters and their read-back on every
-# arc, (f - 1) x |G| k entries, for its f <= |G| sheets
+# the f x f exponents of its characters and their read-back on every arc,
+# f x |G| k entries, for its f <= |G| sheets
 DENSE_LIMIT = 4000
 # per unit of degree, the residual that extreme_spectrum's certificate must
 # reach before it stops: its Lanczos run goes on until T's estimates are 100
@@ -292,15 +292,16 @@ def ramanujan_check(graph: Graph, spec, tolerance: float = 1e-9) -> RamanujanCer
 
 @dataclass(eq=False)
 class LiftDecomposition:
-    lifted: Spectrum                 # laplacian values, |H| of them
+    lifted: Spectrum                 # laplacian values of block 0, |H| of them
     relative: Spectrum               # laplacian values, |G| - |H| of them
     epsilon: float                   # min of the relative part, +inf if empty
     vertex: np.ndarray               # [b, s]: the vertex of g over b on sheet s
-    # [c, s]: the vector of character c is omega^exponents[c, s] / sqrt(f)
+    # [c, s]: the vector of character c is omega^exponents[c, s] / sqrt(f),
+    # for all f characters, row 0 the trivial one
     exponents: np.ndarray
     vectors: np.ndarray              # [c]: eigenvectors of character c's block
-    # [i]: c |H| + j, the i-th smallest relative value being eigenvalue j of
-    # character c's block (a stable sort)
+    # [i]: c |H| + j, c >= 1, the i-th smallest relative value being
+    # eigenvalue j of character c's block (a stable sort)
     order: np.ndarray
 
     def relative_vectors(self, count: int | None = None) -> np.ndarray:
@@ -331,23 +332,23 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     No |G|-square matrix is formed.  Lifting a BFS spanning tree of h labels
     each vertex of g by (base vertex, sheet), and each arc e of h then moves
     the f sheets by a permutation P_e, so that L_g = k - sum_e E_bb' (x) P_e.
-    Each nontrivial character c of the monodromy has a vector u_c with
+    Each of the f characters c of the monodromy has a vector u_c with
     P_e u_c = chi_c(e) u_c, so C^|H| (x) u_c carries one |H|-row block
-    k - sum_e chi_c(e) E_bb'; one batched eigh solves the f - 1 blocks.
+    k - sum_e chi_c(e) E_bb'; one batched eigh solves all f blocks.  Block 0,
+    of the trivial character, is L_h itself: its eigenpairs are the lifted
+    part, and blocks 1..f-1 the relative part.
 
     Certificates: an integer read-back of u_c[P_e] = chi_c(e) u_c on every
-    arc e, with P_e from g's own arcs, for f - 1 distinct nontrivial
-    characters makes the u_c an exact orthonormal basis of 1-perp.  The
-    block eigenvectors are orthonormal, and sqrt(|G|) times the largest
-    residual over the lifted and relative eigenpairs (on g, that of the base
-    or block eigenvector, up to the rounding of the roots of unity), which
-    bounds (Weyl) how far each eigenvalue of L_g lies from the returned one
-    of the same rank, is at most 1e-9 * k."""
+    arc e, with P_e from g's own arcs, for f distinct characters, row 0 the
+    trivial one, makes the u_c an exact orthonormal basis of C^f with u_0
+    constant.  The block eigenvectors are orthonormal, and sqrt(|G|) times
+    the largest block residual (on g, that of the eigenpair it lifts to, up
+    to the rounding of the roots of unity), which bounds (Weyl) how far each
+    eigenvalue of L_g lies from the returned one of the same rank, is at
+    most 1e-9 * k."""
     if g.n > DENSE_LIMIT:
         raise ResourceLimitError(
             f"lift decomposition limited to {DENSE_LIMIT} vertices, got {g.n}")
-    from scipy.linalg import eigh
-
     if len(fiber_map) != g.n:
         raise ValueError("fiber map must assign every vertex of g")
     blocks = fibers(fiber_map, h.n)
@@ -361,11 +362,6 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     vertex, perms, moves = _sheets(h, nbr, blocks)
     f = blocks.shape[1]
 
-    lap_h = k * np.eye(h.n) - h.adjacency_matrix()
-    h_vals, h_vecs = eigh(lap_h, driver="evd")
-    worst = np.linalg.norm(lap_h @ h_vecs - h_vecs * h_vals, axis=0).max(
-        initial=0.0)
-
     exponents = _characters(perms, f)
     # [c, i]: chi_c on arc i of h is omega^volt[c, i], omega = exp(2 pi i / f),
     # the exponent of the sheet that arc i carries sheet 0 to
@@ -377,35 +373,34 @@ def lift_decomposition(g: Graph, h: Graph, fiber_map) -> LiftDecomposition:
     readback -= narrow[:, None]
     readback -= volt.astype(narrow.dtype)[:, :, None]
     readback %= f
-    if len(np.unique(volt, axis=0)) != f - 1 or len(volt) != f - 1 \
-            or not volt.any(axis=1).all() or readback.any():
+    if len(volt) != f or len(np.unique(volt, axis=0)) != f \
+            or exponents[0].any() or readback.any():
         raise RuntimeError("lifted and relative parts do not recombine: the "
                            "characters do not read back against g's arcs")
     src, dst = h.arcs()
     diag = np.arange(h.n)
-    op = np.zeros((f - 1, h.n, h.n), dtype=complex)
+    op = np.zeros((f, h.n, h.n), dtype=complex)
     op[:, src, dst] = -np.exp(2j * np.pi / f * volt)
     op[:, diag, diag] = k
     vals, vecs = np.linalg.eigh(op)
     gram = vecs.conj().transpose(0, 2, 1) @ vecs
     if np.abs(gram - np.eye(h.n)).max(initial=0.0) > 1e-9:
         raise RuntimeError("block eigenvectors are not orthonormal")
-    residual = np.linalg.norm(op @ vecs - vecs * vals[:, None], axis=1)
-    worst = max(worst, residual.max(initial=0.0))
+    worst = np.linalg.norm(op @ vecs - vecs * vals[:, None], axis=1).max()
     if math.sqrt(g.n) * worst > 1e-9 * max(1, k):
         raise RuntimeError(f"lifted and relative parts do not recombine: "
                            f"Weyl bound {math.sqrt(g.n) * worst:.3g}")
-    rel_vals = vals.ravel()
+    rel_vals = vals[1:].ravel()
     order = np.argsort(rel_vals, kind="stable")
     rel_vals = rel_vals[order]
 
     return LiftDecomposition(
-        lifted=Spectrum(values=tuple(float(v) for v in h_vals),
+        lifted=Spectrum(values=tuple(float(v) for v in vals[0]),
                         operator="laplacian", k=k),
         relative=Spectrum(values=tuple(float(v) for v in rel_vals),
                           operator="laplacian", k=k),
         epsilon=float(rel_vals[0]) if len(rel_vals) else math.inf,
-        vertex=vertex, exponents=exponents, vectors=vecs, order=order)
+        vertex=vertex, exponents=exponents, vectors=vecs, order=order + h.n)
 
 
 def _sheets(h: Graph, nbr: np.ndarray,
@@ -441,8 +436,8 @@ def _sheets(h: Graph, nbr: np.ndarray,
 
 
 def _characters(perms: np.ndarray, f: int) -> np.ndarray:
-    """The exponents of the nontrivial characters of the abelian group that
-    perms generate, acting regularly on the f sheets, uncertified: with
+    """The exponents of the f characters of the abelian group that perms
+    generate, acting regularly on the f sheets, uncertified: with
     omega = exp(2 pi i / f), u_c(s) = omega^exponents[c, s] / sqrt(f) has
     u_c[p] = omega^exponents[c, p[0]] u_c for each p that the group holds.
 
@@ -453,7 +448,7 @@ def _characters(perms: np.ndarray, f: int) -> np.ndarray:
     larger subgroup, and a character e of B extends in t ways, by a value
     l = e(x) / t + j f / t on p (j < t), and e(b) + i l on p^i(b).  t |B|
     divides f, so t divides e(x), a multiple of f / |B|.  Row 0 stays the
-    trivial character, and is dropped."""
+    trivial character."""
     exponents = np.zeros((1, f), dtype=np.int64)
     members = np.zeros(1, dtype=np.int64)      # B, from sheet 0
     for p in perms:
@@ -473,7 +468,7 @@ def _characters(perms: np.ndarray, f: int) -> np.ndarray:
         values %= f
         exponents = np.zeros((len(values) * t, f), dtype=np.int64)
         exponents[:, members] = values.reshape(len(exponents), len(members))
-    return exponents[1:]
+    return exponents
 
 
 # --- non-backtracking walk traces -------------------------------------------
@@ -526,29 +521,18 @@ def nb_trace(graph: Graph, M: int) -> TraceSequence:
 
 
 def nb_spectral_formula(adjacency_values, p: int, M: int) -> list[float]:
-    """sum_j p^(m/2) sin((m+1) theta_j)/sin(theta_j) with mu = 2 sqrt(p) cos(theta),
-    using the sinh form for |mu| > 2 sqrt(p)."""
+    """sum_j p^(m/2) sin((m+1) theta_j)/sin(theta_j) with
+    mu_j = 2 sqrt(p) cos(theta_j), for m = 0..M, as sum_j V_m(mu_j) by the
+    three-term recurrence V_0 = 1, V_1 = mu, V_m = mu V_{m-1} - p V_{m-2},
+    which needs no angle and holds for every mu, p = 0 included."""
     if M < 0:
         raise ValueError(f"M must be non-negative, got {M}")
+    mu = np.asarray(adjacency_values, dtype=float)
+    prev, cur = np.zeros_like(mu), np.ones_like(mu)
     out = []
-    root = 2 * math.sqrt(p)
-    for m in range(M + 1):
-        total = 0.0
-        for mu in adjacency_values:
-            x = mu / root
-            sign = 1.0 if (x >= 0 or m % 2 == 0) else -1.0
-            ax = abs(x)
-            if ax >= 1 - 1e-12:
-                if ax <= 1 + 1e-12:
-                    ratio = float(m + 1)
-                else:
-                    psi = math.acosh(ax)
-                    ratio = math.sinh((m + 1) * psi) / math.sinh(psi)
-            else:
-                theta = math.acos(ax)
-                ratio = math.sin((m + 1) * theta) / math.sin(theta)
-            total += sign * p ** (m / 2) * ratio
-        out.append(total)
+    for _ in range(M + 1):
+        out.append(float(cur.sum()))
+        prev, cur = cur, mu * cur - p * prev
     return out
 
 

@@ -148,6 +148,12 @@ def test_double_sum_identity_when_centered():
     direct = double_sum(phi)
     identity = 2 * 12 * float((v * v).sum())
     assert abs(direct - identity) < 1e-8 * max(1.0, abs(identity))
+    # a common offset of 1e6 leaves the pairwise differences, but a sum
+    # that squares the entries before subtracting loses them to rounding
+    shifted = LipschitzMap(graph=phi.graph, vectors=v + 1e6)
+    brute = math.fsum(float(((shifted.vectors[x] - shifted.vectors[y]) ** 2)
+                            .sum()) for x in range(12) for y in range(12))
+    assert abs(double_sum(shifted) - brute) <= 1e-12 * brute
 
 
 def test_edge_sum_is_twice_laplacian_form():

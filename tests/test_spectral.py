@@ -449,7 +449,7 @@ def test_lift_certificate_rejects_split_blocks(corpus_cover, monkeypatch,
 
     def corrupted(perms, f):
         exponents = real_characters(perms, f).copy()
-        exponents[0, -1] = (exponents[0, -1] + 1) % f
+        exponents[1, -1] = (exponents[1, -1] + 1) % f
         return exponents
 
     monkeypatch.setattr(spectral, "_characters", corrupted)
@@ -508,12 +508,14 @@ def arc_labels(g, h, projection, vertex, exponents):
 
 
 def assert_closed_form_characters(cover, m, vertex, exponents):
-    # the characters of Z_m^r are the c != 0 in Z_m^r: each puts
-    # (f / m) c_j on the arc of voltage 2j, its negative on voltage 2j + 1
-    # and 0 on tree arcs, whichever voltages the cover drew
+    # row 0 is the trivial character, and the others are the c != 0 in
+    # Z_m^r: each puts (f / m) c_j on the arc of voltage 2j, its negative on
+    # voltage 2j + 1 and 0 on tree arcs, whichever voltages the cover drew
     f, r = m ** cover.rank, cover.rank
+    assert exponents.shape == (f, f)
+    assert not exponents[0].any()
     labels = arc_labels(cover.graph, cover.base, cover.projection, vertex,
-                        exponents)
+                        exponents[1:])
     voltage = cover.voltage
     assert not labels[:, voltage < 0].any()
     arc = {w: i for i, w in enumerate(voltage.tolist())}
@@ -550,10 +552,11 @@ def test_characters_in_closed_form_above_the_dense_limit(corpus_cover):
                     % 729).any()
 
 
-def test_lift_runs_one_base_and_one_batched_block_solve(corpus_cover,
-                                                        monkeypatch):
-    # the PSL(2, 3) m=2 cover, f = 128: the base's eigh and the blocks'
-    # batched eigh are the only solves, and none is f-square
+def test_lift_runs_one_batched_solve_over_all_characters(corpus_cover,
+                                                         monkeypatch):
+    # the PSL(2, 3) m=2 cover, f = 128: one batched eigh over all f blocks,
+    # the base's among them as the trivial character's, is the only solve,
+    # and none is f-square
     import scipy.linalg
 
     cover = corpus_cover("psl23", 2)
@@ -569,7 +572,24 @@ def test_lift_runs_one_base_and_one_batched_block_solve(corpus_cover,
                         counted(scipy.linalg.eigh, "scipy"))
     monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "numpy"))
     lift_decomposition(cover.graph, cover.base, cover.projection)
-    assert calls == [("scipy", (12, 12)), ("numpy", (127, 12, 12))]
+    assert calls == [("numpy", (128, 12, 12))]
+
+
+@pytest.mark.parametrize("name,m", [("C6", 2), ("K4", 3), ("psl23", 2)])
+def test_lift_certificate_rejects_a_trivial_character_off_row_0(
+        corpus_cover, monkeypatch, name, m):
+    # the same f characters, each reading back, with the trivial one rolled
+    # to row 1: block 0 would no longer be L_h, so the lifted part would be
+    # a relative block
+    cover = corpus_cover(name, m)
+    real_characters = spectral._characters
+
+    def rolled(perms, f):
+        return np.roll(real_characters(perms, f), 1, axis=0)
+
+    monkeypatch.setattr(spectral, "_characters", rolled)
+    with pytest.raises(RuntimeError, match="do not recombine"):
+        lift_decomposition(cover.graph, cover.base, cover.projection)
 
 
 def test_lift_on_nearly_degenerate_characters():
@@ -586,11 +606,11 @@ def test_lift_on_nearly_degenerate_characters():
 
 
 def test_lift_memory_on_a_thousand_sheets():
-    # C4000 over C4, f = 1000: the read-back holds 999 x 8 x 1000 int16
+    # C4000 over C4, f = 1000: the read-back holds 1000 x 8 x 1000 int16
     # entries, 16 MB, beside the 1,000 x 1,000 int64 exponents, 8 MB; an
     # int64 read-back alone would be 64 MB.  The peak read 28.1 MB on numpy
-    # 2.4.6 and scipy 1.17.1
-    import scipy.linalg  # noqa: F401  (imported before tracing starts)
+    # 2.4.6
+    import numpy.ma  # noqa: F401  (np.unique imports it on first use)
 
     g, h = cycle(4000), cycle(4)
     fiber_map = np.arange(4000) % 4
@@ -811,7 +831,8 @@ def test_nb_trace_transitive_flag_consistent():
 
 
 def test_nb_spectral_formula_matches_cumulative():
-    for g in [complete(7), petersen(), cycle(12),
+    # complete(2) is 1-regular: p = 0
+    for g in [complete(2), complete(7), petersen(), cycle(12),
               homology_cover(complete(4), 2).graph]:
         tr = nb_trace(g, 10)
         formula = nb_spectral_formula(spectrum(g).values, tr.p, 10)

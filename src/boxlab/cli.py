@@ -99,6 +99,14 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative seeds."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxlab",
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=non_negative_int, default=0)
     common.add_argument("--out", default=None, help="report path (default stdout)")
 
     feas = sub.add_parser("feasibility", parents=[common],

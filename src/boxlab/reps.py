@@ -38,7 +38,7 @@ class BorelGroup:
     n: int
     elements: list[Element]
     # int64 tables by a value: exponent of 1 + q^k and a^-1 (-1 and 0 off
-    # the group; mul, inv and Irrep.matrices raise there)
+    # the group; mul and Irrep.matrices raise there)
     beta_of: np.ndarray = field(repr=False)
     a_inv: np.ndarray = field(repr=False)
 
@@ -49,10 +49,6 @@ class BorelGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> Element:
-        return (1, 0)
 
     def _unit_inverse(self, a: int) -> int:
         """a^-1 mod q^n; ValueError unless a is a power of 1 + q^k."""
@@ -67,10 +63,6 @@ class BorelGroup:
         mod = self.modulus
         self._unit_inverse(a)             # g off the group raises too
         return (a * a2 % mod, (a * b2 + b * self._unit_inverse(a2)) % mod)
-
-    def inv(self, g: Element) -> Element:
-        a, b = g
-        return (self._unit_inverse(a), -b % self.modulus)
 
 
 def borel_group(q: int, k: int, n: int) -> BorelGroup:
@@ -101,9 +93,6 @@ def borel_group(q: int, k: int, n: int) -> BorelGroup:
 
 # --- monomial representations ------------------------------------------------
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]  # (perm, phase exponents)
-
-
 @dataclass(eq=False)
 class Irrep:
     """One irreducible representation, evaluated on demand.
@@ -125,13 +114,11 @@ class Irrep:
     base: "Irrep | None" = None
     rep_id: str = ""
 
-    def matrix(self, g: Element) -> Monomial:
-        perm, phases = self.matrices([g])
-        return tuple(perm[0].tolist()), tuple(phases[0].tolist())
-
     def matrices(self, elements) -> tuple[np.ndarray, np.ndarray]:
         """Batch matrix: int64 perm and phases of shape (len(elements), dim),
-        whose row i is matrix(elements[i]); elements may be an (m, 2) array."""
+        where at elements[i] basis vector c goes to basis vector perm[i, c]
+        times exp(2 pi i phases[i, c] / q^n); elements may be an (m, 2)
+        array."""
         group = self.group
         q, k, n = group.q, group.k, group.n
         mod = group.modulus
@@ -173,11 +160,6 @@ class Irrep:
             out[fixed[:, c]] += roots[phases[fixed[:, c], c]]
         return out
 
-    def is_trivial_at(self, g: Element) -> bool:
-        perm, phases = self.matrix(g)
-        return all(t == c for c, t in enumerate(perm)) and \
-            all(p == 0 for p in phases)
-
 
 def induced_rep(group: BorelGroup, j: int, jp: int = 0) -> Irrep:
     """Induced representation on basis {x = j mod q^k}; j must not be
@@ -216,11 +198,8 @@ class CharacterTable:
     char_matrix: np.ndarray          # irreps x elements
     gram_defect: float
 
-    def dimensions(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.irreps:
-            out[r.dim] = out.get(r.dim, 0) + 1
-        return out
+    def dimensions(self) -> Counter[int]:
+        return Counter(r.dim for r in self.irreps)
 
 
 def irrep_inventory(group: BorelGroup) -> CharacterTable:
@@ -260,12 +239,11 @@ def dimension_by_level(group: BorelGroup, irrep: Irrep) -> tuple[int, int]:
     part earlier than the classification range covers.
     """
     q, k, n = group.q, group.k, group.n
-    mod = group.modulus
-    s = k
-    while s <= n:
-        if irrep.is_trivial_at((1, q ** s % mod)):
-            break
-        s += 1
+    perm, phases = irrep.matrices(
+        [(1, q ** s % group.modulus) for s in range(k, n + 1)])
+    # the last probe, s = n, is the identity, so some probe is trivial
+    s = k + int(np.argmax((perm == np.arange(irrep.dim)).all(axis=1)
+                          & ~phases.any(axis=1)))
     level = min(n - s, n - 2 * k)
     return level, q ** (n - 2 * k - level)
 
@@ -295,8 +273,8 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
 
     The product table is filled from greedy generator columns along a BFS
     tree; ValueError if mul disagrees on a spot-checked row or is not closed.
-    The operator is the one |G|-square array ``y[table]``, Fortran-ordered
-    like the table, which LAPACK solves in place."""
+    The operator is one Fortran-ordered |G|-square array, scattered from
+    that table, which LAPACK solves in place."""
     from scipy.linalg import eigh
 
     elements = list(elements)
@@ -314,22 +292,17 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
         gen = elements[int(np.argmin(parent >= 0))]     # first unreached
         columns = np.hstack([columns, graphs.generator_table(
             elements, mul, [gen])[1]])
-    # [i, j] = idx(e_i e_j): tree_products' columns follow the BFS order,
-    # put into element order a row at a time, with no second table
+    # [i, c] = idx(e_i order[c]), in tree_products' own BFS column order
     table = graphs.tree_products(columns, order, parent, via)
-    rank = np.argsort(order)
-    for row in table:
-        row[:] = row[rank]
     for i in range(size - 1, -1, -graphs.SPOT_STRIDE):
-        for j, ij in enumerate(table[i].tolist()):
-            if mul(elements[i], elements[j]) != elements[ij]:
+        for v, iv in zip(order.tolist(), table[i].tolist()):
+            if mul(elements[i], elements[v]) != elements[iv]:
                 raise ValueError(f"mul disagrees with the generator-filled "
-                                 f"table at {elements[i]!r} * {elements[j]!r}")
-    rows, inv = np.nonzero(table == identity)
+                                 f"table at {elements[i]!r} * {elements[v]!r}")
+    rows, cols = np.nonzero(table == identity)
     if not np.array_equal(rows, np.arange(size)):
         raise ValueError("a product table row has no unique identity")
-    for v in range(size):       # rows in place, no second table
-        table[:, v] = table[inv, v]         # now [j, i] = idx(e_j^-1 e_i)
+    inv = order[cols]
 
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -343,10 +316,11 @@ def brute_force_irreps(elements, mul) -> dict[int, int]:
                 z = rng.standard_normal() + 1j * rng.standard_normal()
                 y[i] = z
                 y[inv[i]] = z.conjugate()
-        # [j, i] = y(e_j^-1 e_i): the commuting operator's transpose, which
-        # is Hermitian too and has its eigenvalues
-        vals = eigh(y[table], eigvals_only=True, overwrite_a=True,
-                    driver="evd")
+        # [i, j] = y(e_i^-1 e_j), as e_j = e_i order[c] at j = table[i, c]:
+        # Hermitian, and it commutes with left translation
+        op = np.empty((size, size), dtype=complex, order="F")
+        np.put_along_axis(op, table, y[order][None, :], axis=1)
+        vals = eigh(op, eigvals_only=True, overwrite_a=True, driver="evd")
         tol = 1e-6 * max(1.0, float(np.abs(vals).max()))
         # a cluster ends where the next eigenvalue is more than tol above
         ends = np.flatnonzero(np.append(np.diff(vals) > tol, True))

@@ -148,6 +148,29 @@ def test_cli_out_into_a_missing_directory(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["feasibility"],
+                                  ["pipeline", "--suite", "poincare"],
+                                  ["pipeline", "--suite", "ramanujan"]])
+def test_cli_rejects_a_negative_seed(monkeypatch, capsys, argv):
+    # numpy's generators reject a negative seed, which would surface as a
+    # failed criterion after the suite ran; the parser refuses it first
+    import boxlab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli, "min_feasible_level", never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"boxlab {argv[0]}: error: argument --seed: must be non-negative, "
+        f"got -1\n")
+
+
 def test_cli_rejects_removed_flag():
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--suite", "hensel", "--mode", "extreme"])

@@ -23,9 +23,22 @@ def monomial_mul(x, y, denominator):
     return perm, phases
 
 
+def row(r, g):
+    """The irrep's monomial matrix at g as (perm, phases) tuples: the one
+    row of a single-element ``matrices`` batch."""
+    perm, phases = r.matrices([g])
+    return tuple(perm[0].tolist()), tuple(phases[0].tolist())
+
+
+def inverse(group, g):
+    """g^-1 = (a^-1, -b), with a^-1 read from the group's own table."""
+    a, b = g
+    return int(group.a_inv[a]), -b % group.modulus
+
+
 def dense(r, g):
     """The irrep's matrix at g as a dense complex array."""
-    perm, phases = r.matrix(g)
+    perm, phases = row(r, g)
     out = np.zeros((r.dim, r.dim), dtype=complex)
     for c, target in enumerate(perm):
         out[target, c] = cmath.exp(2j * cmath.pi * phases[c] / r.group.modulus)
@@ -59,8 +72,8 @@ def test_borel_group_axioms():
     for _ in range(60):
         a, b, c = (rng.choice(els) for _ in range(3))
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
-        assert g.mul(a, g.inv(a)) == g.identity
-        assert g.mul(a, g.identity) == a
+        assert g.mul(a, inverse(g, a)) == g.mul(inverse(g, a), a) == (1, 0)
+        assert g.mul(a, (1, 0)) == g.mul((1, 0), a) == a
     matrix_check = all(
         g.mul(x, y) == ((x[0] * y[0]) % 27, (x[0] * y[1] + x[1] * pow(y[0], -1, 27)) % 27)
         for x in els[:9] for y in els[:9])
@@ -90,13 +103,13 @@ def test_induced_rep_homomorphism_random_pairs():
         rng = random.Random(13)
         for _ in range(100):
             x, y = rng.choice(g.elements), rng.choice(g.elements)
-            lhs = pi.matrix(g.mul(x, y))
-            rhs = monomial_mul(pi.matrix(x), pi.matrix(y), g.modulus)
+            lhs = row(pi, g.mul(x, y))
+            rhs = monomial_mul(row(pi, x), row(pi, y), g.modulus)
             assert lhs == rhs
 
 
 def _matrix_reference(r, g):
-    """Irrep.matrix by the closed forms, one element at a time, with the
+    """An irrep's (perm, phases) at g by the closed forms, with the
     exponent of 1 + q^k found by search and a^-1 by pow."""
     q, k, n = r.group.q, r.group.k, r.group.n
     mod = q ** n
@@ -130,8 +143,8 @@ def test_every_irrep_is_a_homomorphism():
             kinds |= {r.kind} | ({r.base.kind} if r.base else set())
             for _ in range(6):
                 x, y = rng.choice(g.elements), rng.choice(g.elements)
-                lhs = r.matrix(g.mul(x, y))
-                assert lhs == monomial_mul(r.matrix(x), r.matrix(y), g.modulus)
+                lhs = row(r, g.mul(x, y))
+                assert lhs == monomial_mul(row(r, x), row(r, y), g.modulus)
     assert kinds == {"character", "induced", "lift"}
 
 
@@ -143,9 +156,9 @@ def test_batch_matrices_match_reference_rows():
             perm, phases = r.matrices(g.elements)
             assert perm.shape == phases.shape == (g.order, r.dim)
             for i in rng.sample(range(g.order), 6):
-                row = tuple(perm[i].tolist()), tuple(phases[i].tolist())
-                assert row == r.matrix(g.elements[i])
-                assert row == _matrix_reference(r, g.elements[i])
+                batch_row = tuple(perm[i].tolist()), tuple(phases[i].tolist())
+                assert batch_row == row(r, g.elements[i])
+                assert batch_row == _matrix_reference(r, g.elements[i])
 
 
 def test_batch_matrices_reject_foreign_elements():
@@ -162,8 +175,6 @@ def test_mul_and_inv_reject_foreign_elements():
             g.mul((1, 0), (a, 0))
         with pytest.raises(ValueError, match="power of 1"):
             g.mul((a, 0), (1, 0))
-        with pytest.raises(ValueError, match="power of 1"):
-            g.inv((a, 0))
 
 
 def test_batch_characters_are_bitwise_char():
@@ -294,7 +305,7 @@ def test_brute_force_spot_check_catches_a_wrong_mul():
     def wrong(x, y):
         # the generators' columns stay right; the last row is spot-checked
         if (x, y) == (last, square):
-            return g.identity
+            return (1, 0)
         return g.mul(x, y)
 
     assert brute_force_irreps(g.elements, g.mul) == {1: 27, 3: 6}
@@ -404,6 +415,55 @@ def test_representation_audit_skips_the_oracle_above_its_cap(monkeypatch):
 
 
 BOREL_CASES = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (5, 1, 3)]
+
+
+def _oracle_draw(seed, inv):
+    """The oracle's random y for one seed, over elements whose inverses
+    are at inv: real at an involution, conjugate at an inverse pair."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(len(inv), dtype=complex)
+    for i in range(len(inv)):
+        if y[i] != 0:
+            continue
+        if inv[i] == i:
+            y[i] = rng.standard_normal()
+        else:
+            y[i] = rng.standard_normal() + 1j * rng.standard_normal()
+            y[inv[i]] = y[i].conjugate()
+    return y
+
+
+@pytest.mark.parametrize("q, k, n", BOREL_CASES)
+def test_oracle_operator_is_the_element_ordered_gather(monkeypatch, q, k, n):
+    # the operator scattered from the BFS-ordered tree products is, bit for
+    # bit, y[table] over the element-ordered table [i, j] = idx(e_i^-1 e_j)
+    import scipy.linalg
+
+    real_eigh = scipy.linalg.eigh
+    operators = []
+
+    def recording_eigh(a, **kwargs):
+        operators.append(a.copy())
+        return real_eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    g = borel_group(q, k, n)
+    brute_force_irreps(g.elements, g.mul)
+    a, b = np.array(g.elements).T
+    ainv, mod = g.a_inv[a], g.modulus
+    index = np.full((mod, mod), -1)
+    index[a, b] = np.arange(g.order)
+    table = index[ainv[:, None] * a % mod,
+                  (ainv[:, None] * b - b[:, None] * ainv) % mod]
+    inv = index[ainv, -b % mod]
+    for i, j in [(0, g.order - 1), (g.order - 1, 1), (g.order // 2, 2)]:
+        assert table[i, j] == g.elements.index(
+            g.mul(inverse(g, g.elements[i]), g.elements[j]))
+        assert g.mul(g.elements[i], g.elements[inv[i]]) == (1, 0)
+    assert operators
+    for seed, op in enumerate(operators):
+        expected = _oracle_draw(seed, inv)[table]
+        assert op.tobytes(order="C") == expected.tobytes(order="C")
 
 
 def test_gram_product_runs_on_the_character_matrix_itself(monkeypatch):

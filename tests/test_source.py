@@ -66,38 +66,47 @@ def test_irrep_oracle_is_independent_of_the_inventory():
 
 
 def _definitions(tree):
-    """(name, line) of each top-level function and class, and of each
-    non-dunder method of a top-level class."""
+    """(name, line, is a method) of each top-level function and class, and
+    of each non-dunder method or property of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef)
                         and not re.fullmatch(r"__\w+__", sub.name)):
-                    yield sub.name, sub.lineno
+                    yield sub.name, sub.lineno, True
 
 
 def test_every_library_definition_is_read_outside_the_tests():
     # a definition that only tests read is dead code with a test attached.
     # criterion_feasibility is acceptance criterion 10: test_acceptance runs
     # it, while the feasibility command calls min_feasible_level directly.
-    # A read is a name or an attribute loaded in code, or a part of a traced
-    # name: words in docstrings and comments, a def line and an assignment
-    # to a local of the same name are not
+    # A function or class is read by a name or an attribute loaded in code,
+    # or by a part of a traced name.  A method or property is read only as
+    # a loaded attribute, a getattr or hasattr string, or a traced part: a
+    # bare local of the same name is not its read.  Words in docstrings and
+    # comments, a def line and an assignment are never reads
     exempt = {"criterion_feasibility"}
-    read = {part for name in _wrapped_names() for part in name.split(".")}
+    attrs = {part for name in _wrapped_names() for part in name.split(".")}
+    names = set()
     for tree in _trees("src", "benchmarks"):
         for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                attrs.add(node.args[1].value)
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attrs.add(node.attr)
     unread = []
     for path in sorted((ROOT / "src" / "boxlab").glob("*.py")):
-        for name, lineno in _definitions(ast.parse(path.read_text())):
+        for name, lineno, method in _definitions(ast.parse(path.read_text())):
+            read = attrs if method else attrs | names
             if name not in exempt | read:
                 unread.append(f"{path.name}:{lineno} {name}")
     assert not unread, f"definitions only tests read: {unread}"
